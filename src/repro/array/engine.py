@@ -38,8 +38,20 @@ costs O(lanes · n) memory.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.array.backend import get_numpy, pick_backend
 from repro.array.protocols import (
@@ -123,44 +135,60 @@ class _CsrGraph:
     By the kernel's undirected-edges contract, ``receivers(p)`` is also
     the in-neighborhood of ``p``, so the segment of receiver ``p`` holds
     the ascending senders whose broadcasts reach ``p`` (self included).
+
+    Only ``indptr``/``src`` exist up front — NumPy arrays on the numpy
+    plane, lists on the python plane.  Fault handling asks for more:
+    :meth:`edge_id` bisects the receiver's ascending segment, and
+    :meth:`out_edges` builds the sender grouping (one stable argsort)
+    on its first call, i.e. only once a crash needs it.
     """
 
-    def __init__(self, edges: Tuple[Tuple[int, ...], ...], backend: str):
-        n = len(edges)
+    def __init__(self, indptr, src, numpy: bool):
+        self.indptr = indptr
+        self.src = src
+        self.n = len(indptr) - 1
+        self.num_edges = int(indptr[-1])
+        self._numpy = numpy
+        self._by_sender = None  # (edge ids sorted by sender, per-sender starts)
+
+    @classmethod
+    def of(cls, topo: Topology, round_no: int, backend: str) -> "_CsrGraph":
+        if backend == "numpy":
+            indptr, src = topo.csr(round_no)
+            return cls(indptr, src, True)
         src: List[int] = []
         indptr: List[int] = [0]
-        for p in range(n):
-            src.extend(edges[p])
+        for senders in round_edges(topo, round_no):
+            src.extend(senders)
             indptr.append(len(src))
-        self.n = n
-        self.num_edges = len(src)
-        self.receiver_sets = [frozenset(edges[p]) for p in range(n)]
-        # edges grouped by *sender*: edge ids of q's out-copies.
-        by_src: List[List[int]] = [[] for _ in range(n)]
-        dst: List[int] = [0] * len(src)
-        for p in range(n):
-            for e in range(indptr[p], indptr[p + 1]):
-                by_src[src[e]].append(e)
-                dst[e] = p
-        self.dst = dst
-        self._edge_index: Optional[Dict[Tuple[int, int], int]] = None
-        if backend == "numpy":
-            np = get_numpy()
-            self.src = np.asarray(src, dtype=np.int64)
-            self.indptr = np.asarray(indptr, dtype=np.int64)
-            self.by_src = [np.asarray(ids, dtype=np.int64) for ids in by_src]
-        else:
-            self.src = src
-            self.indptr = indptr
-            self.by_src = by_src
+        return cls(indptr, src, False)
 
     def edge_id(self, sender: int, receiver: int) -> Optional[int]:
         """Edge id of the copy sender→receiver, or None if no such edge."""
-        if self._edge_index is None:
-            self._edge_index = {
-                (int(self.src[e]), self.dst[e]): e for e in range(self.num_edges)
-            }
-        return self._edge_index.get((sender, receiver))
+        if not 0 <= receiver < self.n:
+            return None
+        lo, hi = int(self.indptr[receiver]), int(self.indptr[receiver + 1])
+        e = bisect_left(self.src, sender, lo, hi)
+        return e if e < hi and self.src[e] == sender else None
+
+    def out_edges(self, sender: int):
+        """Edge ids of ``sender``'s copies, ascending."""
+        if self._by_sender is None:
+            if self._numpy:
+                np = get_numpy()
+                order = np.argsort(self.src, kind="stable")
+                starts = np.zeros(self.n + 1, dtype=np.int64)
+                np.cumsum(np.bincount(self.src, minlength=self.n), out=starts[1:])
+            else:
+                order = sorted(range(self.num_edges), key=self.src.__getitem__)
+                starts = [0] * (self.n + 1)
+                for q in self.src:
+                    starts[q + 1] += 1
+                for q in range(self.n):
+                    starts[q + 1] += starts[q]
+            self._by_sender = (order, starts)
+        order, starts = self._by_sender
+        return order[starts[sender] : starts[sender + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +449,7 @@ def run_array(
         snapshots: Optional[List[Dict[int, Optional[Dict[str, Any]]]]] = None
         if record_history:
             snapshots = [
-                _extract_states(array_protocol, state, lane, n)
+                dict(_lane_states(array_protocol, state, lane, n))
                 for lane in lane_states
             ]
 
@@ -436,30 +464,32 @@ def run_array(
                 )
             )
 
-        # 3. topology state for this round
+        # 3. topology state for this round: the CSR always, the
+        # per-pid receivers table only for consumers that walk it
+        forging = any(faults.forgeries for faults in round_faults)
         edges = None
         if topo is not None:
             key = _topology_key(topo, round_no)
-            if key != csr_state_key or (not dense and csr is None):
-                edges_cache = round_edges(topo, round_no)
+            if key != csr_state_key:
                 csr_state_key = key
-                if not dense:
-                    csr = _CsrGraph(edges_cache, resolved_backend)
-                    dead_keep = None
-                    if any_dead:
-                        dead_keep = _rebuild_dead_keep(
-                            csr, lane_states, np, lanes
-                        )
+                csr = _CsrGraph.of(topo, round_no, resolved_backend)
+                edges_cache = None
+                dead_keep = None
+                if any_dead and not dense:
+                    dead_keep = _rebuild_dead_keep(csr, lane_states, np, lanes)
+            if edges_cache is None and (dense or record_history or forging):
+                edges_cache = round_edges(topo, round_no)
             edges = edges_cache
 
         # 4. finish the filtered bookkeeping that needs edge sets
+        graph = csr if topo is not None else None
         for lane, faults in zip(lane_states, round_faults):
-            _filter_receive_omissions(lane, faults, csr, edges)
+            _filter_receive_omissions(lane, faults, graph)
 
         # 4b. dense forgery path: apply payload lies in the control
         # plane (pre-step snapshots) and precompute receiver patches
         patches: Optional[List[Dict[int, Dict[str, Any]]]] = None
-        if any(faults.forgeries for faults in round_faults):
+        if forging:
             patches = [
                 _compile_forgeries(
                     protocol, array_protocol, state, lane, faults,
@@ -528,10 +558,10 @@ def run_array(
                                 (lanes, csr.num_edges), dtype=bool
                             )
                         for pid in faults.crashing_now:
-                            dead_keep[lane.index, csr.by_src[pid]] = False
+                            dead_keep[lane.index, csr.out_edges(pid)] = False
                     else:
                         for pid in faults.crashing_now:
-                            lane.dropped_edges.update(csr.by_src[pid])
+                            lane.dropped_edges.update(csr.out_edges(pid))
             if (
                 faults.crashing_now
                 or faults.omitted_sends
@@ -665,21 +695,41 @@ def _load_initial(
             )
 
 
-def _extract_states(
-    array_protocol: ArrayProtocol,
-    state: Any,
-    lane: _Lane,
-    n: int,
-) -> Dict[int, Optional[Dict[str, Any]]]:
-    crashed = lane.crashed
-    return {
-        pid: (
-            None
-            if pid in crashed
-            else array_protocol.read_state(state, lane.index, pid)
-        )
-        for pid in range(n)
-    }
+class _LaneStates(Mapping):
+    """Read-only ``pid -> state`` view of one lane (``None`` = crashed).
+
+    What ``run_sync`` hands a corruption plan, without materializing
+    ``n`` dicts up front: each lookup reads one cell.
+    """
+
+    def __init__(
+        self,
+        read: Callable[[int], Dict[str, Any]],
+        n: int,
+        crashed: AbstractSet[int],
+    ):
+        self._read = read
+        self._pids = range(n)
+        self._crashed = crashed
+
+    def __getitem__(self, pid: int) -> Optional[Dict[str, Any]]:
+        if pid in self._crashed:
+            return None
+        if pid in self._pids:
+            return self._read(pid)
+        raise KeyError(pid)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._pids)
+
+    def __len__(self) -> int:
+        return len(self._pids)
+
+
+def _lane_states(
+    array_protocol: ArrayProtocol, state: Any, lane: _Lane, n: int
+) -> _LaneStates:
+    return _LaneStates(array_protocol.read_lane(state, lane.index), n, lane.crashed)
 
 
 def _apply_corruption(
@@ -691,13 +741,8 @@ def _apply_corruption(
     n: int,
 ) -> None:
     """Route corruption through the real plan object: same rng stream."""
-    states = _extract_states(array_protocol, state, lane, n)
-    corrupted = plan.corrupt(protocol, states, n)
-    for pid in range(n):
-        fresh = corrupted.get(pid)
-        if fresh is None:
-            continue  # crashed processes are never revived
-        array_protocol.load_state(state, lane.index, pid, fresh)
+    corrupted = plan.corrupt(protocol, _lane_states(array_protocol, state, lane, n), n)
+    array_protocol.load_lane(state, lane.index, n, corrupted, lane.crashed)
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +796,7 @@ def _effective_faults(
 
 
 def _filter_receive_omissions(
-    lane: _Lane,
-    faults: _RoundFaults,
-    csr: Optional[_CsrGraph],
-    edges: Optional[Tuple[Tuple[int, ...], ...]],
+    lane: _Lane, faults: _RoundFaults, graph: Optional[_CsrGraph]
 ) -> None:
     """Finish the engine's edge-aware filtering for this round.
 
@@ -763,12 +805,13 @@ def _filter_receive_omissions(
     receive omission is recorded only for copies that actually arrived
     — sender alive, broadcasting, reaching this receiver.  Cost is
     O(planned deviations), never O(n), so fault-free rounds stay cheap.
+    ``graph`` is None on the complete graph, where every edge exists.
     """
-    if edges is not None and faults.omitted_sends:
+    if graph is not None:
         for pid in list(faults.omitted_sends):
             dropped = faults.omitted_sends[pid]
             dropped.intersection_update(
-                csr.receiver_sets[pid] if csr is not None else edges[pid]
+                [r for r in dropped if graph.edge_id(pid, r) is not None]
             )
             if not dropped:
                 del faults.omitted_sends[pid]
@@ -780,11 +823,7 @@ def _filter_receive_omissions(
         for sender in drops:
             if sender == pid or sender not in alive or sender in faults.silent:
                 continue
-            if edges is not None and pid not in (
-                csr.receiver_sets[sender]
-                if csr is not None
-                else edges[sender]
-            ):
+            if graph is not None and graph.edge_id(sender, pid) is None:
                 continue
             crash_targets = faults.crash_deliveries.get(sender)
             if sender in faults.crashing_now:
@@ -918,12 +957,12 @@ def _rebuild_dead_keep(csr: _CsrGraph, lane_states, np, lanes: int):
         for lane in lane_states:
             lane.dropped_edges = set()
             for pid in lane.crashed:
-                lane.dropped_edges.update(csr.by_src[pid])
+                lane.dropped_edges.update(csr.out_edges(pid))
         return None
     dead_keep = np.ones((lanes, csr.num_edges), dtype=bool)
     for lane in lane_states:
         for pid in lane.crashed:
-            dead_keep[lane.index, csr.by_src[pid]] = False
+            dead_keep[lane.index, csr.out_edges(pid)] = False
     return dead_keep
 
 
@@ -968,8 +1007,7 @@ def _build_csr_wire(
                 f"edges x {wire.lanes} lanes — over the "
                 f"{_COMPLETE_CSR_LIMIT} cell limit; fall back"
             )
-        full = tuple(tuple(range(n)) for _ in range(n))
-        csr = _CsrGraph(full, backend)
+        csr = _CsrGraph.of(CompleteTopology(n), 1, backend)
         if any_dead:
             dead_keep = _rebuild_dead_keep(
                 csr, lane_states, np, wire.lanes
@@ -993,7 +1031,7 @@ def _build_csr_wire(
             keep = dead_keep.copy()
             for lane, faults in zip(lane_states, round_faults):
                 for pid in faults.crashing_now:
-                    keep[lane.index, csr.by_src[pid]] = False
+                    keep[lane.index, csr.out_edges(pid)] = False
             wire.keep = keep
             return dead_keep, csr
         keep_sets = []
@@ -1002,7 +1040,7 @@ def _build_csr_wire(
             if faults.crashing_now:
                 dropped = set(dropped)
                 for pid in faults.crashing_now:
-                    dropped.update(csr.by_src[pid])
+                    dropped.update(csr.out_edges(pid))
             keep_sets.append(dropped)
         wire.keep = keep_sets
         return dead_keep, csr
@@ -1016,13 +1054,9 @@ def _build_csr_wire(
         for lane, faults in zip(lane_states, round_faults):
             row = lane.index
             for pid in faults.crashing_now:
-                targets = faults.crash_deliveries.get(pid)
-                ids = csr.by_src[pid]
-                if targets:
-                    for e in ids:
-                        keep[row, e] = csr.dst[int(e)] in targets
-                else:
-                    keep[row, ids] = False
+                keep[row, csr.out_edges(pid)] = False
+                for e in _survivor_edges(csr, pid, faults):
+                    keep[row, e] = True
             for pid, dropped in faults.omitted_sends.items():
                 for receiver in dropped:
                     e = csr.edge_id(pid, receiver)
@@ -1042,10 +1076,8 @@ def _build_csr_wire(
     for lane, faults in zip(lane_states, round_faults):
         dropped = set(lane.dropped_edges)
         for pid in faults.crashing_now:
-            targets = faults.crash_deliveries.get(pid)
-            for e in csr.by_src[pid]:
-                if not targets or csr.dst[e] not in targets:
-                    dropped.add(e)
+            dropped.update(csr.out_edges(pid))
+            dropped.difference_update(_survivor_edges(csr, pid, faults))
         for pid, omit in faults.omitted_sends.items():
             for receiver in omit:
                 e = csr.edge_id(pid, receiver)
@@ -1061,6 +1093,13 @@ def _build_csr_wire(
         keep_sets.append(dropped)
     wire.keep = keep_sets
     return dead_keep, csr
+
+
+def _survivor_edges(csr: _CsrGraph, pid: int, faults: _RoundFaults) -> List[int]:
+    """Edge ids of the copies a crashing ``pid`` still gets out."""
+    targets = faults.crash_deliveries.get(pid, ())
+    ids = [csr.edge_id(pid, receiver) for receiver in targets]
+    return [e for e in ids if e is not None]
 
 
 #: Bound on materializing the complete graph's n^2-edge CSR.

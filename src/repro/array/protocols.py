@@ -36,7 +36,7 @@ append a matcher with :func:`register_array_protocol` (see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional
 
 from repro.array.backend import get_numpy
 from repro.core.canonical import CanonicalRunner
@@ -124,6 +124,34 @@ class ArrayProtocol(ABC):
 
     # ------------------------------------------------------------------
 
+    def read_lane(self, state: Any, lane: int) -> Callable[[int], Dict[str, Any]]:
+        """A reader of one lane as it is now: ``read(pid)`` builds the
+        same fresh dict as ``read_state(state, lane, pid)``.
+
+        Bulk twins override this to copy the lane's columns once, so
+        each later read is a plain lookup.
+        """
+        return lambda pid: self.read_state(state, lane, pid)
+
+    def load_lane(
+        self,
+        state: Any,
+        lane: int,
+        n: int,
+        mappings: Mapping[int, Optional[Mapping]],
+        crashed: AbstractSet[int] = frozenset(),
+    ) -> None:
+        """``load_state`` for every pid below ``n`` that ``mappings`` maps.
+
+        ``None`` entries and ``crashed`` pids are skipped: corruption
+        never revives a process.  Validation and errors are exactly
+        ``load_state``'s, raised for the lowest offending pid.
+        """
+        for pid in range(n):
+            mapping = mappings.get(pid)
+            if mapping is not None and pid not in crashed:
+                self.load_state(state, lane, pid, mapping)
+
     def clock_column(self, state: Any):
         """The ``(lanes, n)`` round-variable matrix (for measurements)."""
         return state["clock"]
@@ -206,7 +234,60 @@ def _csr_reduce_python(
 # ---------------------------------------------------------------------------
 
 
-class ArrayClockMerge(ArrayProtocol):
+class _ClockColumn(ArrayProtocol):
+    """Twins whose whole state is one ``(lanes, n)`` clock matrix."""
+
+    def load_state(self, state, lane, pid, mapping) -> None:
+        value = _require_clock(mapping)
+        extra = set(mapping) - {CLOCK_KEY}
+        if extra:
+            raise ArrayEligibilityError(
+                f"{self.name}: unexpected state fields {sorted(extra)}"
+            )
+        state["clock"][lane][pid] = value
+
+    def read_state(self, state, lane, pid) -> Dict[str, Any]:
+        return {CLOCK_KEY: int(state["clock"][lane][pid])}
+
+    def read_lane(self, state, lane) -> Callable[[int], Dict[str, Any]]:
+        row = state["clock"][lane]
+        clocks = row.tolist() if state["backend"] == "numpy" else list(map(int, row))
+        return lambda pid: {CLOCK_KEY: clocks[pid]}
+
+    def load_lane(self, state, lane, n, mappings, crashed=frozenset()) -> None:
+        # one pass to validate, one column write; any irregular cell
+        # falls back to load_state so errors stay exactly its own
+        cells = [mappings.get(pid) for pid in range(n)]
+        for pid in crashed:
+            cells[pid] = None
+        pids = None  # every pid
+        if None in cells:
+            pids = [pid for pid, cell in enumerate(cells) if cell is not None]
+            cells = [cells[pid] for pid in pids]
+        try:
+            clocks = [cell[CLOCK_KEY] for cell in cells]
+            valid = all(type(c) is int for c in clocks) and all(
+                len(cell) == 1 for cell in cells
+            )
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            # load_state itself, in pid order: the same error for the
+            # same lowest offender (and int subclasses load, as there)
+            for pid, cell in zip(range(n) if pids is None else pids, cells):
+                self.load_state(state, lane, pid, cell)
+            return
+        row = state["clock"][lane]
+        if pids is None:
+            row[:] = clocks  # numpy: OverflowError beyond int64, like load_state
+        elif state["backend"] == "numpy":
+            row[pids] = clocks
+        else:
+            for pid, clock in zip(pids, clocks):
+                row[pid] = clock
+
+
+class ArrayClockMerge(_ClockColumn):
     """Single-clock protocols: ``c := merge(delivered clocks) + 1``.
 
     Covers :class:`RoundAgreementProtocol` (max), its min-merge
@@ -230,18 +311,6 @@ class ArrayClockMerge(ArrayProtocol):
             "n": n,
             "clock": _int_matrix(backend, lanes, n, initial),
         }
-
-    def load_state(self, state, lane, pid, mapping) -> None:
-        value = _require_clock(mapping)
-        extra = set(mapping) - {CLOCK_KEY}
-        if extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected state fields {sorted(extra)}"
-            )
-        state["clock"][lane][pid] = value
-
-    def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        return {CLOCK_KEY: int(state["clock"][lane][pid])}
 
     def step(self, state, wire) -> None:
         if self.merge == "free":
@@ -321,7 +390,7 @@ class ArrayClockMerge(ArrayProtocol):
             clock[lane] = [value + 1 for value in red]
 
 
-class ArrayBoundedUnison(ArrayProtocol):
+class ArrayBoundedUnison(_ClockColumn):
     """Batched :class:`BoundedUnison`: the tail-plus-ring update rule.
 
     Three reductions per round (min, max, and min over strictly-inner
@@ -343,18 +412,6 @@ class ArrayBoundedUnison(ArrayProtocol):
             "n": n,
             "clock": _int_matrix(backend, lanes, n, 0),
         }
-
-    def load_state(self, state, lane, pid, mapping) -> None:
-        value = _require_clock(mapping)
-        extra = set(mapping) - {CLOCK_KEY}
-        if extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected state fields {sorted(extra)}"
-            )
-        state["clock"][lane][pid] = value
-
-    def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        return {CLOCK_KEY: int(state["clock"][lane][pid])}
 
     def _next_value(self, lowest: int, highest: int, has_inner: bool) -> int:
         if lowest < 0:

@@ -10,9 +10,9 @@ edge relation as a first-class object:
 - :class:`CompleteTopology` — the default; behaviorally identical to
   the seed engine (engines normalize it away entirely, so complete-
   graph runs stay byte-for-byte what they were).
-- :class:`RingTopology`, :class:`TreeTopology`,
+- :class:`RingTopology`, :class:`GridTopology`, :class:`TreeTopology`,
   :class:`RandomTopology`, :class:`ExplicitTopology` — static sparse
-  graphs with a BFS :meth:`~Topology.diameter`.
+  graphs (closed-form diameter for the ring and grid, BFS otherwise).
 - :class:`DynamicTopology` — a base graph whose effective edge set
   varies per round under a :class:`ChurnSchedule` of join / leave /
   partition / heal events (carried in the ``FaultPlan``).
@@ -28,6 +28,10 @@ Conventions shared by every substrate:
   receivers(q)``.
 - Round numbers are the sync engine's (1-based); static topologies
   ignore them.
+- :meth:`Topology.csr` is the same edge relation in the batched
+  engine's form: NumPy ``(indptr, src)`` grouped by receiver.  Static
+  topologies memoize it (ring, grid and complete graph in closed form);
+  a dynamic topology masks its base CSR by the round's churn state.
 """
 
 from __future__ import annotations
@@ -72,9 +76,37 @@ class Topology:
         """Longest shortest path of the (static / base) graph."""
         raise NotImplementedError
 
+    def csr(self, round_no: int = 1):
+        """One round's edges grouped by receiver, as NumPy int64 ``(indptr, src)``.
+
+        ``src[indptr[p]:indptr[p + 1]]`` holds receiver ``p``'s
+        ascending senders, self included — exactly ``round_edges(self,
+        round_no)[p]``, because edges are undirected.  The batched
+        engine's wire; NumPy is imported here, never at module import.
+        """
+        return _csr_from_table(round_edges(self, round_no))
+
     def _check_pid(self, pid: int) -> None:
         if not 0 <= pid < self.n:
             raise ValueError(f"pid {pid} out of range for n={self.n}")
+
+
+def _csr_from_table(table: Sequence[Sequence[int]]):
+    """``(indptr, src)`` of a per-pid receivers table."""
+    import numpy as np
+
+    indptr = _indptr_of(np, [len(row) for row in table])
+    src = np.fromiter(
+        (q for row in table for q in row), dtype=np.int64, count=int(indptr[-1])
+    )
+    return indptr, src
+
+
+def _indptr_of(np, sizes):
+    """CSR row pointers from per-receiver segment sizes."""
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
 
 
 class CompleteTopology(Topology):
@@ -87,6 +119,7 @@ class CompleteTopology(Topology):
             raise ValueError("n must be >= 1")
         self.n = n
         self._receivers = range(n)  # shared, like the engine fast path
+        self._csr = None
 
     def receivers(self, pid: int, round_no: int = 1) -> Sequence[int]:
         self._check_pid(pid)
@@ -95,34 +128,52 @@ class CompleteTopology(Topology):
     def diameter(self) -> int:
         return 1 if self.n > 1 else 0
 
+    def csr(self, round_no: int = 1):
+        if self._csr is None:
+            import numpy as np
+
+            n = self.n
+            self._csr = (
+                np.arange(0, n * n + 1, n, dtype=np.int64),
+                np.tile(np.arange(n, dtype=np.int64), n),
+            )
+        return self._csr
+
     def __repr__(self) -> str:
         return f"CompleteTopology(n={self.n})"
 
 
 class _StaticTopology(Topology):
-    """Shared machinery: precomputed receiver tuples + BFS diameter."""
+    """Shared machinery: a memoized receivers table and CSR, BFS diameter.
 
-    def __init__(self, n: int, undirected_edges: Iterable[Tuple[int, int]]):
+    Both views are built on first use only, so a topology that only
+    ever feeds the batched engine never pays for n Python tuples.
+    """
+
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-        adjacency: List[set] = [{pid} for pid in range(n)]
-        for u, v in undirected_edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self._receivers: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(adjacency[pid])) for pid in range(n)
-        )
+        self._table: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._csr = None
         self._diameter: Optional[int] = None
 
-    def receivers(self, pid: int, round_no: int = 1) -> Sequence[int]:
-        self._check_pid(pid)
-        return self._receivers[pid]
+    def _receivers_table(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
+
+    def _build_table(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(self.receivers(pid) for pid in range(self.n))
+
+    def csr(self, round_no: int = 1):
+        if self._csr is None:
+            self._csr = self._build_csr()
+        return self._csr
 
     def diameter(self) -> int:
         if self._diameter is None:
+            table = self._receivers_table()
             worst = 0
             for source in range(self.n):
                 dist = {source: 0}
@@ -130,7 +181,7 @@ class _StaticTopology(Topology):
                 while frontier:
                     nxt = []
                     for u in frontier:
-                        for v in self._receivers[u]:
+                        for v in table[u]:
                             if v not in dist:
                                 dist[v] = dist[u] + 1
                                 nxt.append(v)
@@ -142,13 +193,78 @@ class _StaticTopology(Topology):
         return self._diameter
 
 
+class _EdgeListTopology(_StaticTopology):
+    """A static graph given by an undirected edge list."""
+
+    def __init__(self, n: int, undirected_edges: Iterable[Tuple[int, int]]):
+        super().__init__(n)
+        pairs = []
+        for u, v in undirected_edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            pairs.append((u, v))
+        self._pairs: Tuple[Tuple[int, int], ...] = tuple(pairs)
+
+    def receivers(self, pid: int, round_no: int = 1) -> Sequence[int]:
+        self._check_pid(pid)
+        return self._receivers_table()[pid]
+
+    def _build_table(self) -> Tuple[Tuple[int, ...], ...]:
+        adjacency: List[set] = [{pid} for pid in range(self.n)]
+        for u, v in self._pairs:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        return tuple(tuple(sorted(adjacency[pid])) for pid in range(self.n))
+
+    def _build_csr(self):
+        import numpy as np
+
+        n = self.n
+        ends = np.array(self._pairs, dtype=np.int64).reshape(-1, 2)
+        pids = np.arange(n, dtype=np.int64)
+        # (receiver, sender) keys: both directions of every edge, plus
+        # every self-loop; unique() sorts and drops duplicates at once.
+        keys = np.unique(
+            np.concatenate(
+                (ends[:, 1] * n + ends[:, 0], ends[:, 0] * n + ends[:, 1], pids * n + pids)
+            )
+        )
+        return _indptr_of(np, np.bincount(keys // n, minlength=n)), keys % n
+
+
 class RingTopology(_StaticTopology):
     """Bidirectional cycle 0–1–…–(n−1)–0; diameter ``n // 2``."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("a ring needs n >= 2")
-        super().__init__(n, ((pid, (pid + 1) % n) for pid in range(n)))
+        super().__init__(n)
+
+    def receivers(self, pid: int, round_no: int = 1) -> Sequence[int]:
+        self._check_pid(pid)
+        n = self.n
+        if n == 2:
+            return (0, 1)
+        if pid == 0:
+            return (0, 1, n - 1)
+        if pid == n - 1:
+            return (0, n - 2, n - 1)
+        return (pid - 1, pid, pid + 1)
+
+    def _build_csr(self):
+        import numpy as np
+
+        n = self.n
+        if n == 2:
+            return np.array([0, 2, 4], dtype=np.int64), np.array([0, 1, 0, 1], dtype=np.int64)
+        pids = np.arange(n, dtype=np.int64)
+        rows = np.stack((pids - 1, pids, pids + 1), axis=1)
+        rows[0] = (0, 1, n - 1)
+        rows[n - 1] = (0, n - 2, n - 1)
+        return np.arange(0, 3 * n + 1, 3, dtype=np.int64), rows.reshape(-1)
+
+    def diameter(self) -> int:
+        return self.n // 2
 
     def __repr__(self) -> str:
         return f"RingTopology(n={self.n})"
@@ -168,17 +284,39 @@ class GridTopology(_StaticTopology):
             raise ValueError("a grid needs rows >= 1 and cols >= 1")
         self.rows = rows
         self.cols = cols
+        super().__init__(rows * cols)
 
-        def mesh_edges():
-            for r in range(rows):
-                for c in range(cols):
-                    pid = r * cols + c
-                    if c + 1 < cols:
-                        yield (pid, pid + 1)
-                    if r + 1 < rows:
-                        yield (pid, pid + cols)
+    def receivers(self, pid: int, round_no: int = 1) -> Sequence[int]:
+        self._check_pid(pid)
+        cols = self.cols
+        r, c = divmod(pid, cols)
+        # up, left, self, right, down: already ascending
+        out = []
+        if r > 0:
+            out.append(pid - cols)
+        if c > 0:
+            out.append(pid - 1)
+        out.append(pid)
+        if c + 1 < cols:
+            out.append(pid + 1)
+        if r + 1 < self.rows:
+            out.append(pid + cols)
+        return tuple(out)
 
-        super().__init__(rows * cols, mesh_edges())
+    def _build_csr(self):
+        import numpy as np
+
+        cols = self.cols
+        pids = np.arange(self.n, dtype=np.int64)
+        r, c = np.divmod(pids, cols)
+        # candidate senders per receiver in ascending order (up, left,
+        # self, right, down); the mask drops the ones off the mesh
+        candidates = np.stack((pids - cols, pids - 1, pids, pids + 1, pids + cols), axis=1)
+        on_mesh = np.stack(
+            (r > 0, c > 0, np.ones(self.n, dtype=bool), c + 1 < cols, r + 1 < self.rows),
+            axis=1,
+        )
+        return _indptr_of(np, on_mesh.sum(axis=1)), candidates[on_mesh]
 
     def diameter(self) -> int:
         return self.rows + self.cols - 2
@@ -187,7 +325,7 @@ class GridTopology(_StaticTopology):
         return f"GridTopology(rows={self.rows}, cols={self.cols})"
 
 
-class TreeTopology(_StaticTopology):
+class TreeTopology(_EdgeListTopology):
     """Complete ``arity``-ary tree rooted at 0 (heap numbering)."""
 
     def __init__(self, n: int, arity: int = 2):
@@ -200,7 +338,7 @@ class TreeTopology(_StaticTopology):
         return f"TreeTopology(n={self.n}, arity={self.arity})"
 
 
-class RandomTopology(_StaticTopology):
+class RandomTopology(_EdgeListTopology):
     """Seeded G(n, p) unioned with a seeded random spanning tree.
 
     The spanning tree guarantees connectivity (so ``diameter`` is always
@@ -230,7 +368,7 @@ class RandomTopology(_StaticTopology):
         return f"RandomTopology(n={self.n}, p={self.p}, seed={self.seed})"
 
 
-class ExplicitTopology(_StaticTopology):
+class ExplicitTopology(_EdgeListTopology):
     """An arbitrary undirected edge list, given outright."""
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
@@ -377,6 +515,24 @@ class DynamicTopology(Topology):
             if q == pid or (q not in detached and blocks.get(q, -1) == my_block)
         )
 
+    def csr(self, round_no: int = 1):
+        """The base CSR with the edges this round's churn state cuts masked out."""
+        indptr, src = self.base.csr(round_no)
+        detached, blocks = self._state(round_no)
+        if not detached and blocks is None:
+            return indptr, src
+        import numpy as np
+
+        n = self.n
+        dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        cut = np.zeros(n, dtype=bool)
+        cut[list(detached)] = True
+        block = np.full(n, -1, dtype=np.int64)
+        for pid, index in (blocks or {}).items():
+            block[pid] = index
+        live = (src == dst) | (~cut[src] & ~cut[dst] & (block[src] == block[dst]))
+        return _indptr_of(np, np.bincount(dst[live], minlength=n)), src[live]
+
     def diameter(self) -> int:
         return self.base.diameter()
 
@@ -389,8 +545,11 @@ def round_edges(topology: Topology, round_no: int) -> Tuple[Tuple[int, ...], ...
 
     This is the exact value the engines hand to ``Observer.on_topology``
     and recorders attach to ``RoundHistory.edges`` — index p holds p's
-    receivers (ascending, self included).
+    receivers (ascending, self included).  Static topologies hand out
+    one memoized table, so per-round callers share it.
     """
+    if isinstance(topology, _StaticTopology):
+        return topology._receivers_table()
     return tuple(
         tuple(topology.receivers(pid, round_no)) for pid in range(topology.n)
     )

@@ -10,6 +10,8 @@ reordering tests never shifts another test's stream).
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 import repro.cache
@@ -28,11 +30,42 @@ __all__ = [
     "make_history",
     "make_record",
     "make_rng",
+    "run_cache_at",
 ]
 
 
+@contextlib.contextmanager
+def run_cache_at(root):
+    """Point the run cache at ``root`` for a block, then restore it.
+
+    For module- and session-scoped fixtures, which are set up before
+    the per-test isolation below takes effect.
+    """
+    previous = repro.cache.cache_dir()
+    repro.cache.configure(root=root)
+    try:
+        yield
+    finally:
+        repro.cache.configure(root=previous)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_run_cache(tmp_path_factory):
+    """Outside any test, the run cache lives in a session temp dir.
+
+    Module- and session-scoped fixtures run between tests; without this
+    they would read and write the working tree's ``.repro-cache/``.
+    """
+    root = tmp_path_factory.mktemp("session-run-cache")
+    repro.cache.configure(root=root)
+    try:
+        yield root
+    finally:
+        repro.cache.configure()
+
+
 @pytest.fixture(autouse=True)
-def _isolated_run_cache(tmp_path):
+def _isolated_run_cache(tmp_path, _session_run_cache):
     """Point the run cache at a per-test directory (and restore after).
 
     Keeps the suite hermetic: no test reads another test's (or the
@@ -44,7 +77,7 @@ def _isolated_run_cache(tmp_path):
     try:
         yield
     finally:
-        repro.cache.configure()
+        repro.cache.configure(root=_session_run_cache)
 
 
 @pytest.fixture

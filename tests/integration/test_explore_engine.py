@@ -17,11 +17,13 @@ from repro.explore.artifacts import (
 )
 from repro.explore.engine import explore
 from repro.explore.targets import TARGETS, get_target
+from tests.conftest import run_cache_at
 
 
 @pytest.fixture(scope="module")
-def thm1_result():
-    return explore("thm1", budget=96, mode="enumerate", jobs=1)
+def thm1_result(tmp_path_factory):
+    with run_cache_at(tmp_path_factory.mktemp("thm1-run-cache")):
+        return explore("thm1", budget=96, mode="enumerate", jobs=1)
 
 
 class TestThm1:

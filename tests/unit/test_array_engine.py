@@ -41,7 +41,13 @@ from repro.sync.adversary import (
     RoundFaultPlan,
     ScriptedAdversary,
 )
-from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
+from repro.histories.history import CLOCK_KEY
+from repro.sync.corruption import (
+    ClockSkewCorruption,
+    CorruptionPlan,
+    ExplicitCorruption,
+    RandomCorruption,
+)
 
 BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
 
@@ -429,3 +435,135 @@ def test_grid_topology_shape():
     assert set(grid.receivers(5)) == {1, 4, 5, 6, 9}
     # Corner: 2 neighbors + self.
     assert set(grid.receivers(0)) == {0, 1, 4}
+
+
+# -- bulk lane corruption: read_lane / load_lane -----------------------------
+
+CLOCK_TWINS = [MinUnison(), BoundedUnison(n=5)]
+
+#: Cells the int64 clock columns cannot take, and why.
+BAD_CELLS = {
+    "bool-clock": {CLOCK_KEY: True},
+    "extra-field": {CLOCK_KEY: 3, "stray": 1},
+    "no-clock": {"stray": 1},
+    "str-clock": {CLOCK_KEY: "7"},
+    "beyond-int64": {CLOCK_KEY: 1 << 63},
+}
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return None
+
+
+@backends
+@pytest.mark.parametrize("sync", CLOCK_TWINS, ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("bad", sorted(BAD_CELLS))
+def test_load_lane_fails_exactly_like_load_state(backend, sync, bad):
+    twin = as_array_protocol(sync)
+    n = 5
+    cells = {pid: {CLOCK_KEY: pid} for pid in range(n)}
+    cells[2] = BAD_CELLS[bad]
+    cells[4] = {CLOCK_KEY: False}  # a later offender must not be the one named
+
+    def per_pid():
+        state = twin.initial_states(n, 1, backend)
+        for pid in range(n):
+            twin.load_state(state, 0, pid, cells[pid])
+
+    def bulk():
+        twin.load_lane(twin.initial_states(n, 1, backend), 0, n, cells)
+
+    expected = _outcome(per_pid)
+    assert expected is not None
+    assert _outcome(bulk) == expected
+    if bad == "beyond-int64" and backend == "numpy":
+        assert expected[0] is OverflowError
+    elif bad != "beyond-int64":
+        assert expected[0] is ArrayEligibilityError
+
+
+@backends
+@pytest.mark.parametrize("bad", ["bool-clock", "extra-field"])
+def test_unencodable_corruption_is_refused_through_the_bulk_path(backend, bad):
+    plan = FaultPlan(initial_corruption=ExplicitCorruption({3: BAD_CELLS[bad]}))
+    with pytest.raises(ArrayEligibilityError):
+        run_array(
+            MinUnison(), 6, 3, fault_plans=[plan], topology=RingTopology(6), backend=backend
+        )
+
+
+@pytest.mark.skipif(not has_numpy(), reason="int64 columns need numpy")
+def test_out_of_int64_corruption_overflows_on_the_numpy_plane():
+    plan = FaultPlan(initial_corruption=ExplicitCorruption({1: {CLOCK_KEY: -(1 << 70)}}))
+    with pytest.raises(OverflowError):
+        run_array(MinUnison(), 4, 2, fault_plans=[plan], backend="numpy")
+
+
+@backends
+@pytest.mark.parametrize("sync", CLOCK_TWINS, ids=lambda p: type(p).__name__)
+def test_load_lane_never_revives_crashed_cells(backend, sync):
+    twin = as_array_protocol(sync)
+    n = 5
+    state = twin.initial_states(n, 2, backend)
+    for pid in range(n):
+        twin.load_state(state, 1, pid, {CLOCK_KEY: 1})
+    twin.load_lane(
+        state, 1, n, {pid: {CLOCK_KEY: 3} for pid in range(n)}, crashed={0, 3}
+    )
+    assert [twin.read_state(state, 1, pid)[CLOCK_KEY] for pid in range(n)] == [
+        1, 3, 3, 1, 3
+    ]
+    assert twin.read_state(state, 0, 2) == twin.read_state(
+        twin.initial_states(n, 1, backend), 0, 2
+    )
+
+
+class _Reviver(CorruptionPlan):
+    """A buggy plan: hands every pid a state, crashed ones included."""
+
+    def corrupt(self, protocol, states, n):
+        assert [pid for pid in states if states[pid] is None] == [1]
+        return {pid: {CLOCK_KEY: 40 + pid} for pid in range(n)}
+
+
+@backends
+def test_mid_run_corruption_cannot_revive_a_crashed_process(backend):
+    plan = FaultPlan(crashes={1: 1.0}, mid_corruptions={3.0: _Reviver()})
+    result = run_array(
+        MinUnison(), 5, 4, fault_plans=[plan], topology=RingTopology(5), backend=backend
+    )
+    assert result.crashed[0] == frozenset({1})
+    assert result.final_state(0, 1) is None
+    assert result.final_state(0, 3) == {CLOCK_KEY: 42}  # min over {2, 3, 4} + 2
+
+
+@backends
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        MinUnison(),
+        BoundedUnison(n=6),
+        compile_protocol(FloodMinConsensus(f=1, proposals=[4, 1, 3, 2, 5, 0])),
+    ],
+    ids=["min-unison", "bounded-unison", "compiled-floodmin"],
+)
+def test_mid_run_corruption_after_crashes_conforms(backend, protocol):
+    def plan():
+        return FaultPlan(
+            crashes={2: 2.0, 5: 3.0},
+            initial_corruption=RandomCorruption(seed=5),
+            mid_corruptions={4.0: RandomCorruption(seed=9)},
+        )
+
+    assert_conformance(
+        protocol,
+        n=6,
+        rounds=8,
+        plan_factories=[plan, plan],
+        topology=RingTopology(6),
+        backend=backend,
+    )

@@ -6,7 +6,10 @@ import pathlib
 import pytest
 
 import repro.cache
-from repro.explore.artifacts import load_artifact
+from repro.explore.__main__ import SMOKE_THM1_BUDGET, _finding_artifact
+from repro.explore.__main__ import main as explore_cli
+from repro.explore.artifacts import load_artifact, save_artifact
+from repro.explore.engine import explore
 from repro.explore.shrink import neighborhood, spec_size
 from repro.explore.space import OmissionSpec, PlanSpace, PlanSpec
 from repro.verify import (
@@ -31,10 +34,30 @@ from repro.verify.explicit import (
 from repro.verify.minimal import certify_minimal
 from repro.verify.result import FrontierStats, frontier_from_digests
 from repro.verify.targets import confirm_verdict, streaming_verdict
+from tests.conftest import run_cache_at
 
-THM1_ARTIFACT = pathlib.Path(__file__).parents[2] / (
-    "explore-artifacts/thm1-counterexample.json"
-)
+
+@pytest.fixture(scope="session")
+def thm1_artifact(tmp_path_factory) -> pathlib.Path:
+    """The thm1 counterexample, regenerated as ``explore --smoke`` writes it.
+
+    Same pinned-seed exhaustive exploration and the same serializer as
+    the smoke CLI, written to a temp dir with the run cache beside it,
+    so the suite reads nothing from the working tree.
+    """
+    out = tmp_path_factory.mktemp("thm1-artifact")
+    with run_cache_at(out / "run-cache"):
+        result = explore(
+            "thm1", budget=SMOKE_THM1_BUDGET, seed=0, jobs=1, mode="enumerate"
+        )
+    return save_artifact(out / "thm1-counterexample.json", _finding_artifact(result))
+
+
+def test_thm1_fixture_is_what_explore_smoke_writes(thm1_artifact, tmp_path):
+    out = tmp_path / "smoke"
+    assert explore_cli(["--smoke", "--seed", "0", "--jobs", "1", "--out", str(out)]) == 0
+    written = out / "thm1-counterexample.json"
+    assert written.read_bytes() == thm1_artifact.read_bytes()
 
 
 # -- target registry ---------------------------------------------------------
@@ -290,8 +313,8 @@ class TestMinimality:
         assert all(spec_size(s) < spec_size(spec) for s in closure)
         assert spec not in closure
 
-    def test_committed_thm1_artifact_certifies_minimal(self):
-        artifact = load_artifact(THM1_ARTIFACT)
+    def test_committed_thm1_artifact_certifies_minimal(self, thm1_artifact):
+        artifact = load_artifact(thm1_artifact)
         result = certify_minimal(artifact)
         assert result.reproduced
         assert result.minimal
@@ -301,11 +324,11 @@ class TestMinimality:
         assert cert.neighborhood["violating"] == 0
         assert cert.embedded_artifact.spec == artifact.spec
 
-    def test_non_minimal_artifact_is_caught(self):
+    def test_non_minimal_artifact_is_caught(self, thm1_artifact):
         # Grow the committed counterexample by one redundant crash late
         # in the run: the original (smaller) spec still violates, so
         # the grown artifact must NOT certify.
-        artifact = load_artifact(THM1_ARTIFACT)
+        artifact = load_artifact(thm1_artifact)
         grown_spec = PlanSpec(
             n=artifact.spec.n,
             rounds=artifact.spec.rounds,
@@ -316,7 +339,7 @@ class TestMinimality:
         from repro.explore.targets import get_target
 
         verdict = get_target("thm1").confirm(grown_spec)
-        grown = load_artifact(THM1_ARTIFACT)
+        grown = load_artifact(thm1_artifact)
         object.__setattr__(grown, "spec", grown_spec)
         object.__setattr__(grown, "verdict_holds", verdict.holds)
         object.__setattr__(grown, "violations", tuple(verdict.violations))
@@ -331,10 +354,10 @@ class TestMinimality:
 
 
 class TestBridge:
-    def test_committed_artifact_replays_through_both_planes(self):
+    def test_committed_artifact_replays_through_both_planes(self, thm1_artifact):
         """Regression: the shrunk thm1 artifact means the same thing to
         the streaming checker and the verify model."""
-        artifact = load_artifact(THM1_ARTIFACT)
+        artifact = load_artifact(thm1_artifact)
         name, at, spec = artifact.to_verify_instance()
         assert name == "thm1"
         assert at == VERIFY_TARGETS["thm1"].default_at
@@ -345,8 +368,8 @@ class TestBridge:
         assert not check.streaming.holds
         assert not check.confirm.holds
 
-    def test_uncovered_target_raises(self):
-        artifact = load_artifact(THM1_ARTIFACT)
+    def test_uncovered_target_raises(self, thm1_artifact):
+        artifact = load_artifact(thm1_artifact)
         object.__setattr__(artifact, "target", "fig4")
         with pytest.raises(ValueError):
             artifact.to_verify_instance()
