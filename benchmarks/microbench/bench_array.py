@@ -8,13 +8,9 @@ corrupted clocks, no history):
 
 - ``reference`` — the per-process :func:`repro.sync.engine.run_sync`
   loop, one lane at a time;
-- ``array-numpy`` — :func:`repro.array.engine.run_array` on the NumPy
-  data plane, all lanes in one batched pass (skipped, with a note row,
-  when NumPy is absent — the committed baseline always has it);
-- ``array-python`` — the same batched driver on the pure-Python
-  fallback data plane, at a smaller n (the fallback is a correctness
-  path, not a performance claim; its row documents that batching alone
-  does not regress below the reference engine);
+- ``array-numpy`` — :func:`repro.array.engine.run_array`, all lanes in
+  one batched pass (skipped, with a note row, when NumPy is absent —
+  the committed baseline always has it);
 - ``array-numpy-chunked/ring-1000000`` — the headline scale row: one
   million processes per lane through the chunked lane executor, which
   is the memory ceiling this file documents (``peak_mb``).
@@ -27,7 +23,7 @@ the committed value — the paper-scale claim (≥ 50x at n = 10^4) is
 asserted directly by the ARRAY-SCALE experiment.
 
 ``--chunked`` emits the separate ARRAY-CHUNK report instead: a fast
-chunked run at n = 10^5 on *both* data planes, gated in CI on
+chunked run at n = 10^5, gated in CI on
 ``processes_per_sec`` and ``peak_mb`` against
 ``benchmarks/results/BENCH_ARRAY_CHUNK.json`` (wider band — these two
 fields are machine-dependent, the gate catches collapses, not noise).
@@ -57,10 +53,8 @@ from repro.kernel.faults import FaultPlan
 from repro.protocols.unison import MinUnison
 from repro.sync.engine import run_sync
 
-#: NumPy rows run at paper scale; the pure-Python fallback rows at a
-#: size where a batch still finishes in benchmark time.
+#: The throughput rows run at paper scale.
 N_NUMPY = 10_000
-N_PYTHON = 1_024
 LANES = 4
 ROUNDS = 60
 #: The reference engine gets a shorter run (throughput is per
@@ -73,7 +67,7 @@ REFERENCE_ROUNDS = 10
 N_CHUNK = 100_000
 CHUNK_CELLS = 1 << 14
 CHUNK_LANES = 2
-CHUNK_ROUNDS = {"numpy": 12, "python": 3}
+CHUNK_ROUNDS = 12
 
 #: The headline memory-ceiling row: a million processes per lane.
 N_CEILING = 1_000_000
@@ -88,7 +82,7 @@ def _plans(family: str, n: int, lanes: int):
     ]
 
 
-def _array_call(family: str, n: int, rounds: int, lanes: int, backend: str, chunk=None):
+def _array_call(family: str, n: int, rounds: int, lanes: int, chunk=None):
     topology = make_topology(family, n)
     plans = _plans(family, n, lanes)
 
@@ -99,7 +93,6 @@ def _array_call(family: str, n: int, rounds: int, lanes: int, backend: str, chun
             rounds,
             fault_plans=plans,
             topology=topology,
-            backend=backend,
             chunk=chunk,
         )
 
@@ -177,24 +170,21 @@ def _main_report(repeat: int) -> ExperimentReport:
         ],
     )
 
-    for n, backend, available in (
-        (N_NUMPY, "numpy", has_numpy()),
-        (N_PYTHON, "python", True),
-    ):
-        ref_call = _reference_call("grid", n, REFERENCE_ROUNDS)
-        _, ref_peak = _fork_probe(ref_call)
-        ref_s = best_per_call(ref_call, number=1, repeat=repeat)
-        ref_pps = _pps(ref_s, n, REFERENCE_ROUNDS, 1)
-        report.add_row(f"reference/grid-{n}", n, 1, ref_pps, None, round(ref_peak, 1))
-        if not available:
-            report.add_row(f"array-{backend}/grid-{n}", n, LANES, None, None, None)
-            continue
-        array_call = _array_call("grid", n, ROUNDS, LANES, backend)
+    n = N_NUMPY
+    ref_call = _reference_call("grid", n, REFERENCE_ROUNDS)
+    _, ref_peak = _fork_probe(ref_call)
+    ref_s = best_per_call(ref_call, number=1, repeat=repeat)
+    ref_pps = _pps(ref_s, n, REFERENCE_ROUNDS, 1)
+    report.add_row(f"reference/grid-{n}", n, 1, ref_pps, None, round(ref_peak, 1))
+    if not has_numpy():
+        report.add_row(f"array-numpy/grid-{n}", n, LANES, None, None, None)
+    else:
+        array_call = _array_call("grid", n, ROUNDS, LANES)
         _, array_peak = _fork_probe(array_call)
         array_s = best_per_call(array_call, number=1, repeat=repeat)
         array_pps = _pps(array_s, n, ROUNDS, LANES)
         report.add_row(
-            f"array-{backend}/grid-{n}",
+            f"array-numpy/grid-{n}",
             n,
             LANES,
             array_pps,
@@ -211,7 +201,6 @@ def _main_report(repeat: int) -> ExperimentReport:
                 N_CEILING,
                 CEILING_ROUNDS,
                 CEILING_LANES,
-                "numpy",
                 chunk=CHUNK_CELLS,
             )
         )
@@ -238,36 +227,27 @@ def _main_report(repeat: int) -> ExperimentReport:
 def _chunked_report() -> ExperimentReport:
     report = ExperimentReport(
         experiment_id="ARRAY-CHUNK",
-        title="Chunked lane executor at n = 10^5, both data planes",
+        title="Chunked lane executor at n = 10^5",
         claim=(
             "bounded-memory chunking keeps throughput and the memory "
-            "ceiling flat at scale on both data planes"
+            "ceiling flat at scale"
         ),
         headers=["benchmark", "n", "lanes", "processes_per_sec", "peak_mb"],
     )
-    for backend, available in (("numpy", has_numpy()), ("python", True)):
-        if not available:
-            report.add_row(
-                f"array-{backend}-chunked/ring-{N_CHUNK}",
-                N_CHUNK,
-                CHUNK_LANES,
-                None,
-                None,
-            )
-            continue
-        rounds = CHUNK_ROUNDS[backend]
-        seconds, peak = _fork_probe(
-            _array_call(
-                "ring", N_CHUNK, rounds, CHUNK_LANES, backend, chunk=CHUNK_CELLS
-            )
-        )
-        report.add_row(
-            f"array-{backend}-chunked/ring-{N_CHUNK}",
-            N_CHUNK,
-            CHUNK_LANES,
-            _pps(seconds, N_CHUNK, rounds, CHUNK_LANES),
-            round(peak, 1),
-        )
+    row = f"array-numpy-chunked/ring-{N_CHUNK}"
+    if not has_numpy():
+        report.add_row(row, N_CHUNK, CHUNK_LANES, None, None)
+        return report
+    seconds, peak = _fork_probe(
+        _array_call("ring", N_CHUNK, CHUNK_ROUNDS, CHUNK_LANES, chunk=CHUNK_CELLS)
+    )
+    report.add_row(
+        row,
+        N_CHUNK,
+        CHUNK_LANES,
+        _pps(seconds, N_CHUNK, CHUNK_ROUNDS, CHUNK_LANES),
+        round(peak, 1),
+    )
     return report
 
 

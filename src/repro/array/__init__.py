@@ -2,8 +2,7 @@
 
 A second execution backend for the synchronous model: one
 :func:`run_array` call executes *all seeds of a sweep-point batch* as
-lanes of flat per-process arrays, on NumPy when available (the
-``repro[fast]`` extra) or dependency-free nested lists otherwise.  It
+lanes of flat per-process NumPy arrays (the ``repro[fast]`` extra).  It
 is conformance-checked — for small ``n`` it reconstructs histories
 that are digest-identical to :func:`repro.sync.engine.run_sync` —
 and then runs four-plus orders of magnitude past the reference
@@ -12,23 +11,22 @@ engine's honest range (n = 10^4–10^6).
 Entry points:
 
 - :func:`run_array` / :class:`ArrayRunResult` — the batched driver.
-- :func:`as_array_protocol` / :func:`register_array_protocol` — the
-  protocol registry mapping reference protocols to their batched
-  twins (see ``docs/array.md`` for how to add one).
+- :func:`as_array_protocol` — maps reference protocols to their
+  batched twins (see ``docs/array.md`` for how to add one).
 - :mod:`repro.array.conformance` — digest-comparison harness.
-- :func:`pick_backend` / :func:`has_numpy` — data-plane selection.
+- :func:`has_numpy` — is the NumPy data plane installed?
 
-Ineligible combinations (no batched protocol, Byzantine forgeries,
-per-lane churn disagreement, …) raise :class:`ArrayEligibilityError`;
-``run_sweep(backend="array")`` catches exactly that and falls back,
-loudly, to the reference engine.
+Ineligible combinations (no batched protocol, per-lane churn
+disagreement, NumPy not installed, …) raise
+:class:`ArrayEligibilityError`; ``run_sweep(backend="array")`` catches
+exactly that and falls back, loudly, to the reference engine.
+Importing this package never imports NumPy.
 """
 
 from repro.array.backend import (
     ArrayBackendUnavailable,
-    BACKENDS,
+    ArrayEligibilityError,
     has_numpy,
-    pick_backend,
 )
 from repro.array.conformance import (
     ArrayConformance,
@@ -37,12 +35,7 @@ from repro.array.conformance import (
     check_conformance,
 )
 from repro.array.engine import ArrayRunResult, run_array
-from repro.array.protocols import (
-    ArrayEligibilityError,
-    ArrayProtocol,
-    as_array_protocol,
-    register_array_protocol,
-)
+from repro.array.protocols import ArrayProtocol, as_array_protocol
 
 __all__ = [
     "ArrayBackendUnavailable",
@@ -50,13 +43,10 @@ __all__ = [
     "ArrayEligibilityError",
     "ArrayProtocol",
     "ArrayRunResult",
-    "BACKENDS",
     "LaneConformance",
     "as_array_protocol",
     "assert_conformance",
     "check_conformance",
     "has_numpy",
-    "pick_backend",
-    "register_array_protocol",
     "run_array",
 ]

@@ -1,45 +1,39 @@
-"""Array-backend selection: NumPy when available, flat lists otherwise.
+"""NumPy, the batched engine's data plane, loaded on demand.
 
-The batched engine (:mod:`repro.array.engine`) is written against two
-interchangeable data planes:
-
-- ``"numpy"`` — vectorized kernels over 2-D/3-D ``ndarray``s.  NumPy is
-  an *optional* extra (``pip install repro[fast]``); the core package
-  keeps ``dependencies = []``.
-- ``"python"`` — the same kernels over nested plain lists.  Slower, but
-  dependency-free and value-identical (the conformance suite runs both
-  paths against the reference engine).
-
-Selection order: an explicit ``backend=`` argument wins; otherwise the
-``REPRO_ARRAY_BACKEND`` environment variable (``numpy`` / ``python``);
-otherwise NumPy if importable, else the fallback.  Asking for NumPy
-when it is not installed is a loud error, never a silent downgrade.
+The batched engine (:mod:`repro.array.engine`) runs its columns as
+NumPy ``ndarray``s.  NumPy is an *optional* extra (``pip install
+repro[fast]``); the core package keeps ``dependencies = []`` and
+importing :mod:`repro.array` never imports NumPy.  Without it,
+:func:`get_numpy` raises :class:`ArrayBackendUnavailable` — an
+:class:`ArrayEligibilityError`, so ``run_sweep(backend="array")`` and
+the serve fleet fall back, loudly, to the dependency-free reference
+engine exactly as they do for any other refused batch.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 __all__ = [
     "ArrayBackendUnavailable",
-    "BACKENDS",
+    "ArrayEligibilityError",
     "get_numpy",
     "has_numpy",
-    "pick_backend",
 ]
-
-#: Environment override consulted when no explicit backend is passed.
-ENV_BACKEND = "REPRO_ARRAY_BACKEND"
-
-BACKENDS = ("numpy", "python")
 
 _numpy_module = None
 _numpy_checked = False
 
 
-class ArrayBackendUnavailable(RuntimeError):
-    """A requested array backend cannot be provided on this machine."""
+class ArrayEligibilityError(RuntimeError):
+    """This (protocol, plan, topology, scale) tuple cannot be batched.
+
+    Raised loudly so callers (``run_sweep(backend="array")``) can fall
+    back to the reference engine instead of silently computing the
+    wrong thing.
+    """
+
+
+class ArrayBackendUnavailable(ArrayEligibilityError):
+    """NumPy, the array data plane, is not installed on this machine."""
 
 
 def _load_numpy():
@@ -65,23 +59,8 @@ def get_numpy():
     module = _load_numpy()
     if module is None:
         raise ArrayBackendUnavailable(
-            "the numpy array backend was requested but numpy is not "
-            "installed; install the optional extra (pip install "
-            "'repro[fast]') or use backend='python'"
+            "the array engine needs numpy, which is not installed; install "
+            "the optional extra (pip install 'repro[fast]') or run the "
+            "reference engine (run_sync)"
         )
     return module
-
-
-def pick_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend name (``None`` = env var, then auto-detect)."""
-    if backend is None:
-        backend = os.environ.get(ENV_BACKEND) or None
-    if backend is None:
-        return "numpy" if has_numpy() else "python"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown array backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "numpy":
-        get_numpy()  # raises loudly when unavailable
-    return backend

@@ -52,9 +52,8 @@ class LaneConformance:
 
 @dataclass(frozen=True)
 class ArrayConformance:
-    """Full batch verdict: every lane, one backend."""
+    """Full batch verdict: every lane."""
 
-    backend: str
     lanes: Tuple[LaneConformance, ...]
 
     @property
@@ -72,11 +71,9 @@ def check_conformance(
     plan_factories: Optional[Sequence[Optional[Any]]] = None,
     initial_states: Optional[Sequence[Optional[Mapping[int, Dict[str, Any]]]]] = None,
     topology: Optional[Topology] = None,
-    backend: Optional[str] = None,
     first_round: int = 1,
     protocol_factory=None,
     chunk: Optional[int] = None,
-    max_bytes: Optional[int] = None,
 ) -> ArrayConformance:
     """Run both engines on the same scenario and compare lane by lane.
 
@@ -107,9 +104,7 @@ def check_conformance(
         topology=topology,
         first_round=first_round,
         record_history=True,
-        backend=backend,
         chunk=chunk,
-        max_bytes=max_bytes,
     )
 
     verdicts: List[LaneConformance] = []
@@ -140,7 +135,7 @@ def check_conformance(
                 final_states_equal=_final_states_equal(reference, batched, lane, n),
             )
         )
-    return ArrayConformance(backend=batched.backend, lanes=tuple(verdicts))
+    return ArrayConformance(lanes=tuple(verdicts))
 
 
 def _final_states_equal(reference, batched: ArrayRunResult, lane: int, n: int) -> bool:
@@ -155,7 +150,7 @@ def assert_conformance(*args, **kwargs) -> ArrayConformance:
     """:func:`check_conformance`, raising ``AssertionError`` on mismatch."""
     report = check_conformance(*args, **kwargs)
     if not report.ok:
-        lines = [f"array backend {report.backend!r} diverged from run_sync:"]
+        lines = ["run_array diverged from run_sync:"]
         for lane in report.failures():
             lines.append(
                 f"  lane {lane.lane}: history_equal={lane.history_equal} "

@@ -53,7 +53,7 @@ from typing import (
     Tuple,
 )
 
-from repro.array.backend import get_numpy, pick_backend
+from repro.array.backend import get_numpy
 from repro.array.protocols import (
     ArrayEligibilityError,
     ArrayProtocol,
@@ -89,18 +89,18 @@ ProcessId = int
 
 
 class RoundWire:
-    """One round's delivery structure, in backend-native form.
+    """One round's delivery structure, handed to the protocol's ``step``.
 
-    ``csr`` protocols consume either the ``complete_fast`` form (global
-    reduction; ``send_ok`` masks silenced senders) or the CSR form
-    (``src``/``indptr`` edge list grouped by receiver, plus an optional
-    ``keep`` mask).  ``dense`` protocols consume ``delivered``:
-    numpy — a ``(lanes, n, n)`` bool cube ``[lane, receiver, sender]``;
-    python — per-lane lists of per-receiver sender sets.
+    ``csr`` protocols reduce over it with :meth:`reduce`, which hides
+    the wire's form: the ``complete_fast`` form (global reduction;
+    ``send_ok`` masks silenced senders) or the CSR form (``src``/
+    ``indptr`` edge list grouped by receiver, plus an optional ``keep``
+    mask), each optionally chunked.  ``dense`` protocols consume
+    ``delivered``, a ``(lanes, n, n)`` bool cube ``[lane, receiver,
+    sender]``.
     """
 
     __slots__ = (
-        "backend",
         "lanes",
         "n",
         "complete_fast",
@@ -112,8 +112,7 @@ class RoundWire:
         "chunk",
     )
 
-    def __init__(self, backend: str, lanes: int, n: int, chunk: Optional[int] = None):
-        self.backend = backend
+    def __init__(self, lanes: int, n: int, chunk: Optional[int] = None):
         self.lanes = lanes
         self.n = n
         self.complete_fast = False
@@ -124,9 +123,70 @@ class RoundWire:
         self.delivered = None
         #: Memory bound on data-plane temporaries: at most ``chunk``
         #: cells *per lane* per intermediate array (None = unchunked).
-        #: csr protocols honor it as an edge budget per receiver block,
+        #: CSR reductions honor it as an edge budget per receiver block,
         #: complete_fast reductions as a column budget.
         self.chunk = chunk
+
+    def reduce(self, values, op, identity: int):
+        """Per-receiver ``op``-reduction of ``values`` over delivered senders.
+
+        ``values`` is a ``(lanes, n)`` sender column and ``op`` a binary
+        ufunc (``np.minimum``/``np.maximum``); masked-out copies count as
+        ``identity``.  Returns a ``(lanes, n)`` receiver column (on the
+        complete-graph fast path a read-only broadcast of one value per
+        lane).  Chunked reductions are exact ``op`` compositions, so the
+        result does not depend on ``chunk``.
+        """
+        np = get_numpy()
+        chunk = self.chunk
+        if self.complete_fast:
+            red = None
+            for a, b in _col_chunks(self.n, chunk or self.n):
+                part = values[:, a:b]
+                if self.send_ok is not None:
+                    part = np.where(self.send_ok[:, a:b], part, identity)
+                part = op.reduce(part, axis=1, keepdims=True)
+                red = part if red is None else op(red, part)
+            return np.broadcast_to(red, values.shape)
+        src, indptr, keep = self.src, self.indptr, self.keep
+        if chunk is None or int(indptr[-1]) <= chunk:
+            vals = values[:, src]
+            if keep is not None:
+                vals = np.where(keep, vals, identity)
+            return op.reduceat(vals, indptr[:-1], axis=1)
+        out = np.empty_like(values)
+        for a, b in _edge_chunks(np, indptr, chunk):
+            lo, hi = int(indptr[a]), int(indptr[b])
+            vals = values[:, src[lo:hi]]
+            if keep is not None:
+                vals = np.where(keep[:, lo:hi], vals, identity)
+            out[:, a:b] = op.reduceat(vals, indptr[a:b] - lo, axis=1)
+        return out
+
+
+def _edge_chunks(np, indptr, chunk: int):
+    """Receiver ranges ``[a, b)`` whose CSR edge segments fit ``chunk``.
+
+    Greedy: each range holds as many whole receiver segments as fit in
+    ``chunk`` edges (always at least one receiver, so a single segment
+    larger than the budget still makes progress).  O(#chunks · log n),
+    not O(n), so million-process rounds don't pay a Python loop.
+    """
+    n = int(indptr.shape[0]) - 1
+    a = 0
+    while a < n:
+        b = int(np.searchsorted(indptr, int(indptr[a]) + chunk, side="right")) - 1
+        if b <= a:
+            b = a + 1
+        b = min(b, n)
+        yield a, b
+        a = b
+
+
+def _col_chunks(n: int, chunk: int):
+    """Column ranges ``[a, b)`` of at most ``chunk`` columns each."""
+    for a in range(0, n, chunk):
+        yield a, min(a + chunk, n)
 
 
 class _CsrGraph:
@@ -136,32 +196,18 @@ class _CsrGraph:
     the in-neighborhood of ``p``, so the segment of receiver ``p`` holds
     the ascending senders whose broadcasts reach ``p`` (self included).
 
-    Only ``indptr``/``src`` exist up front — NumPy arrays on the numpy
-    plane, lists on the python plane.  Fault handling asks for more:
-    :meth:`edge_id` bisects the receiver's ascending segment, and
-    :meth:`out_edges` builds the sender grouping (one stable argsort)
-    on its first call, i.e. only once a crash needs it.
+    Only the ``indptr``/``src`` arrays exist up front.  Fault handling
+    asks for more: :meth:`edge_id` bisects the receiver's ascending
+    segment, and :meth:`out_edges` builds the sender grouping (one
+    stable argsort) on its first call, i.e. only once a crash needs it.
     """
 
-    def __init__(self, indptr, src, numpy: bool):
+    def __init__(self, indptr, src):
         self.indptr = indptr
         self.src = src
         self.n = len(indptr) - 1
         self.num_edges = int(indptr[-1])
-        self._numpy = numpy
         self._by_sender = None  # (edge ids sorted by sender, per-sender starts)
-
-    @classmethod
-    def of(cls, topo: Topology, round_no: int, backend: str) -> "_CsrGraph":
-        if backend == "numpy":
-            indptr, src = topo.csr(round_no)
-            return cls(indptr, src, True)
-        src: List[int] = []
-        indptr: List[int] = [0]
-        for senders in round_edges(topo, round_no):
-            src.extend(senders)
-            indptr.append(len(src))
-        return cls(indptr, src, False)
 
     def edge_id(self, sender: int, receiver: int) -> Optional[int]:
         """Edge id of the copy sender→receiver, or None if no such edge."""
@@ -174,18 +220,10 @@ class _CsrGraph:
     def out_edges(self, sender: int):
         """Edge ids of ``sender``'s copies, ascending."""
         if self._by_sender is None:
-            if self._numpy:
-                np = get_numpy()
-                order = np.argsort(self.src, kind="stable")
-                starts = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(np.bincount(self.src, minlength=self.n), out=starts[1:])
-            else:
-                order = sorted(range(self.num_edges), key=self.src.__getitem__)
-                starts = [0] * (self.n + 1)
-                for q in self.src:
-                    starts[q + 1] += 1
-                for q in range(self.n):
-                    starts[q + 1] += starts[q]
+            np = get_numpy()
+            order = np.argsort(self.src, kind="stable")
+            starts = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.src, minlength=self.n), out=starts[1:])
             self._by_sender = (order, starts)
         order, starts = self._by_sender
         return order[starts[sender] : starts[sender + 1]]
@@ -209,7 +247,6 @@ class _Lane:
         "alive_view",
         "faulty",
         "rounds",  # reconstructed RoundHistory list (record mode)
-        "dropped_edges",  # python-CSR persistent dead-sender edge ids
     )
 
     def __init__(self, index: int, adversary: Adversary, corruption, mid_run, n: int):
@@ -222,7 +259,6 @@ class _Lane:
         self.alive_view: frozenset = frozenset(self.alive_order)
         self.faulty: frozenset = frozenset()
         self.rounds: List[RoundHistory] = []
-        self.dropped_edges: set = set()
 
 
 @dataclass
@@ -249,6 +285,28 @@ class _RoundFaults:
             self.crash_deliveries or self.omitted_sends or self.receive_plans
         )
 
+    def wire_receivers(
+        self,
+        sender: int,
+        edges: Optional[Tuple[Tuple[int, ...], ...]],
+        n: int,
+    ) -> List[int]:
+        """Who ``sender``'s copy reaches on the wire, in edge order.
+
+        A crashing sender reaches only its crash survivors; any other
+        reaches its receiver pool (everyone on the complete graph, where
+        ``edges`` is None) minus its send omissions.  Dead receivers are
+        not filtered: their copies are dropped at delivery.
+        """
+        if sender in self.crashing_now:
+            targets = self.crash_deliveries.get(sender, frozenset())
+            if edges is None:
+                return sorted(targets)
+            return [r for r in edges[sender] if r in targets]
+        dropped = self.omitted_sends.get(sender, ())
+        pool = range(n) if edges is None else edges[sender]
+        return [r for r in pool if r not in dropped]
+
 
 # ---------------------------------------------------------------------------
 # Result
@@ -269,7 +327,6 @@ class ArrayRunResult:
     array_protocol: ArrayProtocol
     n: int
     lanes: int
-    backend: str
     executed_rounds: int
     histories: Optional[List[ExecutionHistory]]
     faulty: List[frozenset]
@@ -295,20 +352,14 @@ class ArrayRunResult:
 
     def clock_spread(self, lane: int) -> Optional[Tuple[int, int]]:
         """(min, max) final round variable over alive processes, fast."""
-        column = self.array_protocol.clock_column(self._state)
+        row = self.array_protocol.clock_column(self._state)[lane]
         dead = self.crashed[lane]
-        if self.backend == "numpy":
+        mask = None
+        if dead:
             np = get_numpy()
-            row = column[lane]
-            mask = None
-            if dead:
-                mask = np.ones(self.n, dtype=bool)
-                mask[sorted(dead)] = False
-            return _alive_min_max(row, mask, np, self._chunk)
-        values = [column[lane][p] for p in range(self.n) if p not in dead]
-        if not values:
-            return None
-        return min(values), max(values)
+            mask = np.ones(self.n, dtype=bool)
+            mask[sorted(dead)] = False
+        return _alive_min_max(row, mask, self._chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +377,8 @@ def run_array(
     first_round: int = 1,
     topology: Optional[Topology] = None,
     record_history: bool = False,
-    backend: Optional[str] = None,
     measure_disagreement: bool = False,
     chunk: Optional[int] = None,
-    max_bytes: Optional[int] = None,
 ) -> ArrayRunResult:
     """Execute ``lanes`` independent runs of ``protocol`` in one batch.
 
@@ -349,9 +398,6 @@ def run_array(
         Lane count when no plans/initial states imply one (default 1).
     ``initial_states``
         Per-lane explicit initial-state overrides (systemic failures).
-    ``backend``
-        ``"numpy"`` / ``"python"`` / ``None`` (auto, see
-        :func:`repro.array.backend.pick_backend`).
     ``record_history``
         Reconstruct per-lane :class:`ExecutionHistory` (small n only).
     ``measure_disagreement``
@@ -364,18 +410,17 @@ def run_array(
         streaming measurements).  Chunked reductions are exact min/max
         compositions, so results — and small-n digests — are identical
         to the unchunked plane.
-    ``max_bytes``
-        Memory bound from which a chunk size is derived (peak extra
-        allocation across concurrent temporaries stays under roughly
-        this many bytes).  Combines with ``chunk`` by taking the
-        tighter of the two.
 
     Raises :class:`ArrayEligibilityError` whenever this (protocol,
-    plans, topology) combination cannot be batched faithfully; callers
-    fall back to the reference engine.
+    plans, topology) combination cannot be batched faithfully — NumPy
+    missing included (:class:`~repro.array.backend.ArrayBackendUnavailable`);
+    callers fall back to the reference engine.
     """
     require_process_count(n)
     require_positive(rounds, "rounds")
+    if chunk is not None:
+        require_positive(chunk, "chunk")
+    np = get_numpy()
 
     array_protocol = as_array_protocol(protocol)
     if array_protocol is None:
@@ -402,23 +447,18 @@ def run_array(
         len(overrides) == lanes, f"{len(overrides)} initial-state maps for {lanes} lanes"
     )
 
-    resolved_backend = pick_backend(backend)
-    chunk_cells = _resolve_chunk(chunk, max_bytes, lanes)
     topo = _normalize_topology(n, plans, topology)
 
     lane_states = _build_lanes(plans, n)
-    state = array_protocol.initial_states(n, lanes, resolved_backend)
+    state = array_protocol.initial_states(n, lanes)
     _load_initial(array_protocol, state, overrides, lane_states, protocol, n)
 
-    np = get_numpy() if resolved_backend == "numpy" else None
-    alive_mask = None
-    if np is not None:
-        alive_mask = np.ones((lanes, n), dtype=bool)
+    alive_mask = np.ones((lanes, n), dtype=bool)
 
     dense = array_protocol.kind == "dense"
     csr: Optional[_CsrGraph] = None
     csr_state_key: Any = _UNSET
-    dead_keep = None  # numpy CSR persistent keep (lanes, E)
+    dead_keep = None  # CSR persistent keep (lanes, E)
     any_dead = False
     edges_cache: Optional[Tuple[Tuple[int, ...], ...]] = None
 
@@ -439,11 +479,9 @@ def run_array(
                 state,
                 lane_states,
                 alive_mask,
-                np,
                 round_no,
                 last_disagreement,
-                n,
-                chunk_cells,
+                chunk,
             )
 
         snapshots: Optional[List[Dict[int, Optional[Dict[str, Any]]]]] = None
@@ -472,11 +510,11 @@ def run_array(
             key = _topology_key(topo, round_no)
             if key != csr_state_key:
                 csr_state_key = key
-                csr = _CsrGraph.of(topo, round_no, resolved_backend)
+                csr = _CsrGraph(*topo.csr(round_no))
                 edges_cache = None
                 dead_keep = None
                 if any_dead and not dense:
-                    dead_keep = _rebuild_dead_keep(csr, lane_states, np, lanes)
+                    dead_keep = _rebuild_dead_keep(csr, lane_states, lanes)
             if edges_cache is None and (dense or record_history or forging):
                 edges_cache = round_edges(topo, round_no)
             edges = edges_cache
@@ -499,11 +537,9 @@ def run_array(
             ]
 
         # 5. build the wire and step the data plane
-        wire = RoundWire(resolved_backend, lanes, n, chunk_cells)
+        wire = RoundWire(lanes, n, chunk)
         if dense:
-            _build_dense_wire(
-                wire, lane_states, round_faults, edges, alive_mask, np, n
-            )
+            _build_dense_wire(wire, lane_states, round_faults, edges, alive_mask, n)
         else:
             dead_keep, csr = _build_csr_wire(
                 wire,
@@ -513,10 +549,8 @@ def run_array(
                 csr,
                 dead_keep,
                 alive_mask,
-                np,
                 n,
                 any_dead,
-                resolved_backend,
             )
 
         if record_history:
@@ -548,20 +582,13 @@ def run_array(
                 ]
                 lane.alive_view = frozenset(lane.alive_order)
                 any_dead = True
-                if alive_mask is not None:
-                    for pid in faults.crashing_now:
-                        alive_mask[lane.index, pid] = False
+                for pid in faults.crashing_now:
+                    alive_mask[lane.index, pid] = False
                 if not dense and csr is not None:
-                    if np is not None:
-                        if dead_keep is None:
-                            dead_keep = np.ones(
-                                (lanes, csr.num_edges), dtype=bool
-                            )
-                        for pid in faults.crashing_now:
-                            dead_keep[lane.index, csr.out_edges(pid)] = False
-                    else:
-                        for pid in faults.crashing_now:
-                            lane.dropped_edges.update(csr.out_edges(pid))
+                    if dead_keep is None:
+                        dead_keep = np.ones((lanes, csr.num_edges), dtype=bool)
+                    for pid in faults.crashing_now:
+                        dead_keep[lane.index, csr.out_edges(pid)] = False
             if (
                 faults.crashing_now
                 or faults.omitted_sends
@@ -584,42 +611,17 @@ def run_array(
         array_protocol=array_protocol,
         n=n,
         lanes=lanes,
-        backend=resolved_backend,
         executed_rounds=rounds,
         histories=histories,
         faulty=[lane.faulty for lane in lane_states],
         crashed=[frozenset(lane.crashed) for lane in lane_states],
         last_disagreement=last_disagreement,
         _state=state,
-        _chunk=chunk_cells,
+        _chunk=chunk,
     )
 
 
 _UNSET = object()
-
-#: Safety factor for max_bytes -> chunk derivation: this many int64
-#: temporaries may coexist per chunked reduction.
-_TEMP_FACTOR = 4
-
-#: Floor on derived chunk sizes (below this, loop overhead dominates
-#: and the bound is meaningless anyway).  Explicit ``chunk=`` values
-#: are honored verbatim so tests can force tiny chunks.
-_MIN_CHUNK_CELLS = 1024
-
-
-def _resolve_chunk(
-    chunk: Optional[int], max_bytes: Optional[int], lanes: int
-) -> Optional[int]:
-    """Cells-per-lane budget for data-plane temporaries, or None."""
-    cells: Optional[int] = None
-    if chunk is not None:
-        require_positive(chunk, "chunk")
-        cells = chunk
-    if max_bytes is not None:
-        require_positive(max_bytes, "max_bytes")
-        derived = max(_MIN_CHUNK_CELLS, max_bytes // (8 * lanes * _TEMP_FACTOR))
-        cells = derived if cells is None else min(cells, derived)
-    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -882,19 +884,8 @@ def _compile_forgeries(
         if payload is None:
             continue
         payload = copy_payload(payload)
-        if sender in faults.crashing_now:
-            targets = faults.crash_deliveries.get(sender, frozenset())
-            receivers = (
-                sorted(targets)
-                if edges is None
-                else [r for r in edges[sender] if r in targets]
-            )
-        else:
-            dropped = faults.omitted_sends.get(sender, ())
-            pool = range(n) if edges is None else edges[sender]
-            receivers = [r for r in pool if r not in dropped]
         forged: set = set()
-        for receiver in receivers:
+        for receiver in faults.wire_receivers(sender, edges, n):
             if receiver in lies and receiver != sender:
                 forged_payloads[(sender, receiver)] = lies[receiver](
                     copy_payload(payload)
@@ -951,14 +942,9 @@ def _compile_forgeries(
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_dead_keep(csr: _CsrGraph, lane_states, np, lanes: int):
+def _rebuild_dead_keep(csr: _CsrGraph, lane_states, lanes: int):
     """After a churn-driven CSR rebuild, re-clear dead senders' edges."""
-    if np is None:
-        for lane in lane_states:
-            lane.dropped_edges = set()
-            for pid in lane.crashed:
-                lane.dropped_edges.update(csr.out_edges(pid))
-        return None
+    np = get_numpy()
     dead_keep = np.ones((lanes, csr.num_edges), dtype=bool)
     for lane in lane_states:
         for pid in lane.crashed:
@@ -974,29 +960,22 @@ def _build_csr_wire(
     csr: Optional[_CsrGraph],
     dead_keep,
     alive_mask,
-    np,
     n: int,
     any_dead: bool,
-    backend: str,
 ):
     """Fill ``wire`` for a csr-kind protocol; returns (dead_keep, csr)."""
+    np = get_numpy()
     transient = any(f.transient for f in round_faults)
+    crashes = any(f.crashing_now for f in round_faults)
     if topo is None and not transient:
         # complete graph, per-sender faults only: one global reduction
         wire.complete_fast = True
-        crashes = any(f.crashing_now for f in round_faults)
         if any_dead or crashes:
-            if np is not None:
-                send_ok = alive_mask.copy()
-                for lane, faults in zip(lane_states, round_faults):
-                    for pid in faults.crashing_now:
-                        send_ok[lane.index, pid] = False
-                wire.send_ok = send_ok
-            else:
-                wire.send_ok = [
-                    lane.crashed | faults.crashing_now
-                    for lane, faults in zip(lane_states, round_faults)
-                ]
+            send_ok = alive_mask.copy()
+            for lane, faults in zip(lane_states, round_faults):
+                for pid in faults.crashing_now:
+                    send_ok[lane.index, pid] = False
+            wire.send_ok = send_ok
         return dead_keep, csr
 
     if csr is None:
@@ -1007,91 +986,53 @@ def _build_csr_wire(
                 f"edges x {wire.lanes} lanes — over the "
                 f"{_COMPLETE_CSR_LIMIT} cell limit; fall back"
             )
-        csr = _CsrGraph.of(CompleteTopology(n), 1, backend)
+        csr = _CsrGraph(*CompleteTopology(n).csr())
         if any_dead:
-            dead_keep = _rebuild_dead_keep(
-                csr, lane_states, np, wire.lanes
-            )
+            dead_keep = _rebuild_dead_keep(csr, lane_states, wire.lanes)
 
     wire.src = csr.src
     wire.indptr = csr.indptr
 
     if not transient:
-        if not any_dead and not any(f.crashing_now for f in round_faults):
-            wire.keep = None
+        if not any_dead and not crashes:
             return dead_keep, csr
         # only permanent deaths (plus clean crashes) mask the wire
-        if np is not None:
-            if dead_keep is None:
-                dead_keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
-            clean = any(f.crashing_now for f in round_faults)
-            if not clean:
-                wire.keep = dead_keep
-                return dead_keep, csr
-            keep = dead_keep.copy()
-            for lane, faults in zip(lane_states, round_faults):
-                for pid in faults.crashing_now:
-                    keep[lane.index, csr.out_edges(pid)] = False
-            wire.keep = keep
+        if dead_keep is None:
+            dead_keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
+        if not crashes:
+            wire.keep = dead_keep
             return dead_keep, csr
-        keep_sets = []
+        keep = dead_keep.copy()
         for lane, faults in zip(lane_states, round_faults):
-            dropped = lane.dropped_edges
-            if faults.crashing_now:
-                dropped = set(dropped)
-                for pid in faults.crashing_now:
-                    dropped.update(csr.out_edges(pid))
-            keep_sets.append(dropped)
-        wire.keep = keep_sets
-        return dead_keep, csr
-
-    # transient round: per-edge masking on top of the permanent drops
-    if np is not None:
-        if dead_keep is not None:
-            keep = dead_keep.copy()
-        else:
-            keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
-        for lane, faults in zip(lane_states, round_faults):
-            row = lane.index
             for pid in faults.crashing_now:
-                keep[row, csr.out_edges(pid)] = False
-                for e in _survivor_edges(csr, pid, faults):
-                    keep[row, e] = True
-            for pid, dropped in faults.omitted_sends.items():
-                for receiver in dropped:
-                    e = csr.edge_id(pid, receiver)
-                    if e is not None:
-                        keep[row, e] = False
-            for pid, drops in faults.receive_plans.items():
-                for sender in drops:
-                    if sender == pid:
-                        continue
-                    e = csr.edge_id(sender, pid)
-                    if e is not None:
-                        keep[row, e] = False
+                keep[lane.index, csr.out_edges(pid)] = False
         wire.keep = keep
         return dead_keep, csr
 
-    keep_sets = []
+    # transient round: per-edge masking on top of the permanent drops
+    if dead_keep is not None:
+        keep = dead_keep.copy()
+    else:
+        keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
     for lane, faults in zip(lane_states, round_faults):
-        dropped = set(lane.dropped_edges)
+        row = lane.index
         for pid in faults.crashing_now:
-            dropped.update(csr.out_edges(pid))
-            dropped.difference_update(_survivor_edges(csr, pid, faults))
-        for pid, omit in faults.omitted_sends.items():
-            for receiver in omit:
+            keep[row, csr.out_edges(pid)] = False
+            for e in _survivor_edges(csr, pid, faults):
+                keep[row, e] = True
+        for pid, dropped in faults.omitted_sends.items():
+            for receiver in dropped:
                 e = csr.edge_id(pid, receiver)
                 if e is not None:
-                    dropped.add(e)
+                    keep[row, e] = False
         for pid, drops in faults.receive_plans.items():
             for sender in drops:
                 if sender == pid:
                     continue
                 e = csr.edge_id(sender, pid)
                 if e is not None:
-                    dropped.add(e)
-        keep_sets.append(dropped)
-    wire.keep = keep_sets
+                    keep[row, e] = False
+    wire.keep = keep
     return dead_keep, csr
 
 
@@ -1112,71 +1053,39 @@ def _build_dense_wire(
     round_faults: List[_RoundFaults],
     edges: Optional[Tuple[Tuple[int, ...], ...]],
     alive_mask,
-    np,
     n: int,
 ) -> None:
     """Fill the dense delivered structure: [lane, receiver, sender]."""
-    if np is not None:
-        if edges is None:
-            adj = np.ones((n, n), dtype=bool)
-        else:
-            adj = np.zeros((n, n), dtype=bool)
-            for p, receivers in enumerate(edges):
-                adj[list(receivers), p] = True  # p's broadcast reaches them
-        deliv = adj[None, :, :] & alive_mask[:, :, None] & alive_mask[:, None, :]
-        for lane, faults in zip(lane_states, round_faults):
-            row = lane.index
-            for pid in faults.crashing_now:
-                targets = faults.crash_deliveries.get(pid)
-                col = np.zeros(n, dtype=bool)
-                if targets:
-                    col[sorted(targets)] = True
-                    col &= adj[:, pid]
-                    col &= alive_mask[row]
-                deliv[row, :, pid] = col
-            # rows zeroed after ALL columns: a crash column listing a
-            # co-crashing survivor must not resurrect its zeroed row
-            for pid in faults.crashing_now:
-                deliv[row, pid, :] = False  # a crashing process receives nothing
-            for pid, dropped in faults.omitted_sends.items():
-                targets = sorted(dropped)
-                deliv[row, targets, pid] = False
-            for pid, drops in faults.receive_plans.items():
-                for sender in drops:
-                    if sender != pid:
-                        deliv[row, pid, sender] = False
-        wire.delivered = deliv
-        return
-
-    receiver_sets = (
-        [frozenset(range(n))] * n
-        if edges is None
-        else [frozenset(e) for e in edges]
-    )
-    delivered = []
+    np = get_numpy()
+    if edges is None:
+        adj = np.ones((n, n), dtype=bool)
+    else:
+        adj = np.zeros((n, n), dtype=bool)
+        for p, receivers in enumerate(edges):
+            adj[list(receivers), p] = True  # p's broadcast reaches them
+    deliv = adj[None, :, :] & alive_mask[:, :, None] & alive_mask[:, None, :]
     for lane, faults in zip(lane_states, round_faults):
-        alive = lane.alive_view
-        dead_now = lane.crashed | faults.crashing_now
-        lane_rows: List[set] = []
-        for p in range(n):
-            if p in dead_now:
-                lane_rows.append(set())
-                continue
-            inbox = {q for q in receiver_sets[p] if q in alive}
-            for q in faults.crashing_now:
-                if q in inbox:
-                    targets = faults.crash_deliveries.get(q)
-                    if not targets or p not in targets:
-                        inbox.discard(q)
-            for q, dropped in faults.omitted_sends.items():
-                if p in dropped:
-                    inbox.discard(q)
-            drops = faults.receive_plans.get(p)
-            if drops:
-                inbox -= {q for q in drops if q != p}
-            lane_rows.append(inbox)
-        delivered.append(lane_rows)
-    wire.delivered = delivered
+        row = lane.index
+        for pid in faults.crashing_now:
+            targets = faults.crash_deliveries.get(pid)
+            col = np.zeros(n, dtype=bool)
+            if targets:
+                col[sorted(targets)] = True
+                col &= adj[:, pid]
+                col &= alive_mask[row]
+            deliv[row, :, pid] = col
+        # rows zeroed after ALL columns: a crash column listing a
+        # co-crashing survivor must not resurrect its zeroed row
+        for pid in faults.crashing_now:
+            deliv[row, pid, :] = False  # a crashing process receives nothing
+        for pid, dropped in faults.omitted_sends.items():
+            targets = sorted(dropped)
+            deliv[row, targets, pid] = False
+        for pid, drops in faults.receive_plans.items():
+            for sender in drops:
+                if sender != pid:
+                    deliv[row, pid, sender] = False
+    wire.delivered = deliv
 
 
 # ---------------------------------------------------------------------------
@@ -1184,19 +1093,14 @@ def _build_dense_wire(
 # ---------------------------------------------------------------------------
 
 
-def _alive_min_max(row, mask, np, chunk: Optional[int]):
-    """(min, max) of ``row`` over ``mask`` (numpy), streamed per chunk."""
+def _alive_min_max(row, mask, chunk: Optional[int]):
+    """(min, max) of ``row`` over ``mask``, streamed per chunk."""
     size = int(row.shape[0])
-    if chunk is None or size <= chunk:
-        vals = row if mask is None else row[mask]
-        if vals.size == 0:
-            return None
-        return int(vals.min()), int(vals.max())
     lo = hi = None
-    for start in range(0, size, chunk):
-        part = row[start : start + chunk]
+    for a, b in _col_chunks(size, chunk or size):
+        part = row[a:b]
         if mask is not None:
-            part = part[mask[start : start + chunk]]
+            part = part[mask[a:b]]
         if part.size == 0:
             continue
         pmin, pmax = int(part.min()), int(part.max())
@@ -1212,25 +1116,16 @@ def _measure_round(
     state: Any,
     lane_states: List[_Lane],
     alive_mask,
-    np,
     round_no: int,
     last_disagreement: List[Optional[int]],
-    n: int,
     chunk: Optional[int] = None,
 ) -> None:
     column = array_protocol.clock_column(state)
     for lane in lane_states:
-        if np is not None:
-            row = column[lane.index]
-            mask = alive_mask[lane.index] if lane.crashed else None
-            spread = _alive_min_max(row, mask, np, chunk)
-            if spread is not None and spread[0] != spread[1]:
-                last_disagreement[lane.index] = round_no
-        else:
-            row = column[lane.index]
-            values = [row[p] for p in range(n) if p not in lane.crashed]
-            if values and min(values) != max(values):
-                last_disagreement[lane.index] = round_no
+        mask = alive_mask[lane.index] if lane.crashed else None
+        spread = _alive_min_max(column[lane.index], mask, chunk)
+        if spread is not None and spread[0] != spread[1]:
+            last_disagreement[lane.index] = round_no
 
 
 def _reconstruct_round(
@@ -1260,18 +1155,7 @@ def _reconstruct_round(
             payload = payloads[sender]
             if payload is None:
                 continue
-            if sender in faults.crashing_now:
-                targets = faults.crash_deliveries.get(sender, frozenset())
-                receivers = (
-                    sorted(targets)
-                    if edges is None
-                    else [r for r in edges[sender] if r in targets]
-                )
-            else:
-                dropped = faults.omitted_sends.get(sender, ())
-                pool = range(n) if edges is None else edges[sender]
-                receivers = [r for r in pool if r not in dropped]
-            for receiver in receivers:
+            for receiver in faults.wire_receivers(sender, edges, n):
                 if receiver in dead_now:
                     continue
                 if receiver in faults.omitted_receives and sender in faults.omitted_receives[receiver]:
@@ -1292,17 +1176,6 @@ def _reconstruct_round(
             payload = payloads.get(pid)
             sent: Tuple[Message, ...] = ()
             if payload is not None:
-                if pid in faults.crashing_now:
-                    targets = faults.crash_deliveries.get(pid, frozenset())
-                    receivers = (
-                        sorted(targets)
-                        if edges is None
-                        else [r for r in edges[pid] if r in targets]
-                    )
-                else:
-                    dropped = faults.omitted_sends.get(pid, ())
-                    pool = range(n) if edges is None else edges[pid]
-                    receivers = [r for r in pool if r not in dropped]
                 sent = tuple(
                     Message(
                         sender=pid,
@@ -1310,7 +1183,7 @@ def _reconstruct_round(
                         sent_round=round_no,
                         payload=wire_payload(pid, receiver),
                     )
-                    for receiver in receivers
+                    for receiver in faults.wire_receivers(pid, edges, n)
                 )
             if pid in faults.crashing_now:
                 records.append(

@@ -19,26 +19,27 @@ canonical form.
 Two wire kinds:
 
 - ``kind="csr"`` — scalable protocols whose update is a neighborhood
-  reduction (min/max over delivered clocks).  The driver hands them a
-  CSR edge list (edge sources grouped by receiver, self-loop included)
-  plus an optional per-edge keep mask; on the fault-free complete
-  graph the reduction collapses to one global reduction per lane.
+  reduction (min/max over delivered clocks).  They reduce through the
+  wire's one primitive, ``wire.reduce(values, op, identity)``, which
+  owns the wire's forms: a CSR edge list (edge sources grouped by
+  receiver, self-loop included) with an optional per-edge keep mask,
+  the complete graph's one global reduction per lane, and chunking.
 - ``kind="dense"`` — full-information protocols (FloodMin under
   Figure 2, and the Figure 3 compilation) that need per-(sender,
   receiver) delivery info.  The driver hands them a dense delivered
   matrix; size is eligibility-bounded.
 
 To add a batched protocol: implement :class:`ArrayProtocol` for it and
-append a matcher with :func:`register_array_protocol` (see
+add its exact-type match to :func:`as_array_protocol` (see
 ``docs/array.md``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional
+from typing import AbstractSet, Any, Callable, Dict, Mapping, Optional
 
-from repro.array.backend import get_numpy
+from repro.array.backend import ArrayEligibilityError, get_numpy
 from repro.core.canonical import CanonicalRunner
 from repro.core.compiler import CompiledProtocol
 from repro.core.rounds import (
@@ -58,7 +59,6 @@ __all__ = [
     "ArrayEligibilityError",
     "ArrayProtocol",
     "as_array_protocol",
-    "register_array_protocol",
 ]
 
 #: Sentinels for masked reductions (int64-safe).
@@ -70,15 +70,6 @@ DENSE_CELL_LIMIT = 1 << 26
 
 #: Largest value universe a bitmask column can encode (int64 headroom).
 MAX_UNIVERSE = 60
-
-
-class ArrayEligibilityError(RuntimeError):
-    """This (protocol, plan, topology, scale) tuple cannot be batched.
-
-    Raised loudly so callers (``run_sweep(backend="array")``) can fall
-    back to the reference engine instead of silently computing the
-    wrong thing.
-    """
 
 
 class ArrayProtocol(ABC):
@@ -103,7 +94,7 @@ class ArrayProtocol(ABC):
         return self.sync.name
 
     @abstractmethod
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+    def initial_states(self, n: int, lanes: int) -> Any:
         """Batched specified initial states for ``lanes`` x ``n`` cells."""
 
     @abstractmethod
@@ -166,11 +157,9 @@ class ArrayProtocol(ABC):
 # ---------------------------------------------------------------------------
 
 
-def _int_matrix(backend: str, lanes: int, n: int, fill: int):
-    if backend == "numpy":
-        np = get_numpy()
-        return np.full((lanes, n), fill, dtype=np.int64)
-    return [[fill] * n for _ in range(lanes)]
+def _int_matrix(lanes: int, n: int, fill: int):
+    np = get_numpy()
+    return np.full((lanes, n), fill, dtype=np.int64)
 
 
 def _require_clock(mapping: Mapping) -> int:
@@ -182,51 +171,6 @@ def _require_clock(mapping: Mapping) -> int:
     if type(value) is bool or not isinstance(value, int):
         raise ArrayEligibilityError(f"non-integer clock {value!r} cannot be batched")
     return value
-
-
-def _edge_chunks(np, indptr, chunk: int):
-    """Receiver ranges ``[a, b)`` whose CSR edge segments fit ``chunk``.
-
-    Greedy: each range holds as many whole receiver segments as fit in
-    ``chunk`` edges (always at least one receiver, so a single segment
-    larger than the budget still makes progress).  O(#chunks · log n),
-    not O(n), so million-process rounds don't pay a Python loop.
-    """
-    n = int(indptr.shape[0]) - 1
-    a = 0
-    while a < n:
-        b = int(np.searchsorted(indptr, int(indptr[a]) + chunk, side="right")) - 1
-        if b <= a:
-            b = a + 1
-        b = min(b, n)
-        yield a, b
-        a = b
-
-
-def _col_chunks(n: int, chunk: int):
-    """Column ranges ``[a, b)`` of at most ``chunk`` columns each."""
-    for a in range(0, n, chunk):
-        yield a, min(a + chunk, n)
-
-
-def _csr_reduce_python(
-    row: List[int],
-    src: List[int],
-    indptr: List[int],
-    dropped: Optional[set],
-    best_of: Callable[[int, int], int],
-    identity: int,
-) -> List[int]:
-    """Per-receiver reduction over kept edges for one lane (python path)."""
-    out = []
-    for p in range(len(row)):
-        best = identity
-        for e in range(indptr[p], indptr[p + 1]):
-            if dropped is not None and e in dropped:
-                continue
-            best = best_of(best, row[src[e]])
-        out.append(best)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +194,7 @@ class _ClockColumn(ArrayProtocol):
         return {CLOCK_KEY: int(state["clock"][lane][pid])}
 
     def read_lane(self, state, lane) -> Callable[[int], Dict[str, Any]]:
-        row = state["clock"][lane]
-        clocks = row.tolist() if state["backend"] == "numpy" else list(map(int, row))
+        clocks = state["clock"][lane].tolist()
         return lambda pid: {CLOCK_KEY: clocks[pid]}
 
     def load_lane(self, state, lane, n, mappings, crashed=frozenset()) -> None:
@@ -279,12 +222,9 @@ class _ClockColumn(ArrayProtocol):
             return
         row = state["clock"][lane]
         if pids is None:
-            row[:] = clocks  # numpy: OverflowError beyond int64, like load_state
-        elif state["backend"] == "numpy":
-            row[pids] = clocks
+            row[:] = clocks  # OverflowError beyond int64, like load_state
         else:
-            for pid, clock in zip(pids, clocks):
-                row[pid] = clock
+            row[pids] = clocks
 
 
 class ArrayClockMerge(_ClockColumn):
@@ -303,91 +243,20 @@ class ArrayClockMerge(_ClockColumn):
             raise ValueError(f"unknown merge {merge!r}")
         self.merge = merge
 
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+    def initial_states(self, n: int, lanes: int) -> Any:
         initial = self.sync.initial_state(0, n)[CLOCK_KEY]
-        return {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": _int_matrix(backend, lanes, n, initial),
-        }
+        return {"n": n, "clock": _int_matrix(lanes, n, initial)}
 
     def step(self, state, wire) -> None:
         if self.merge == "free":
-            if state["backend"] == "numpy":
-                state["clock"] = state["clock"] + 1
-            else:
-                state["clock"] = [[c + 1 for c in row] for row in state["clock"]]
+            state["clock"] = state["clock"] + 1
             return
-        lowest = self.merge == "min"
-        identity = BIG if lowest else SMALL
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            reduce = np.minimum if lowest else np.maximum
-            chunk = wire.chunk
-            if wire.complete_fast:
-                if chunk is not None and state["n"] > chunk:
-                    red = None
-                    for a, b in _col_chunks(state["n"], chunk):
-                        part = clock[:, a:b]
-                        if wire.send_ok is not None:
-                            part = np.where(wire.send_ok[:, a:b], part, identity)
-                        part_red = (
-                            part.min(axis=1, keepdims=True)
-                            if lowest
-                            else part.max(axis=1, keepdims=True)
-                        )
-                        red = part_red if red is None else reduce(red, part_red)
-                else:
-                    vals = clock
-                    if wire.send_ok is not None:
-                        vals = np.where(wire.send_ok, clock, identity)
-                    red = (
-                        vals.min(axis=1, keepdims=True)
-                        if lowest
-                        else vals.max(axis=1, keepdims=True)
-                    )
-                state["clock"] = np.broadcast_to(red + 1, clock.shape).copy()
-                return
-            if chunk is not None and int(wire.indptr[-1]) > chunk:
-                out = np.empty_like(clock)
-                for a, b in _edge_chunks(np, wire.indptr, chunk):
-                    lo, hi = int(wire.indptr[a]), int(wire.indptr[b])
-                    vals = clock[:, wire.src[lo:hi]]
-                    if wire.keep is not None:
-                        vals = np.where(wire.keep[:, lo:hi], vals, identity)
-                    out[:, a:b] = reduce.reduceat(
-                        vals, wire.indptr[a:b] - lo, axis=1
-                    )
-                out += 1
-                state["clock"] = out
-                return
-            vals = clock[:, wire.src]
-            if wire.keep is not None:
-                vals = np.where(wire.keep, vals, identity)
-            red = reduce.reduceat(vals, wire.indptr[:-1], axis=1)
-            state["clock"] = red + 1
-            return
-        best_of = min if lowest else max
-        clock = state["clock"]
-        for lane in range(state["lanes"]):
-            row = clock[lane]
-            if wire.complete_fast:
-                silenced = wire.send_ok[lane] if wire.send_ok is not None else None
-                pool = (
-                    row
-                    if not silenced
-                    else [row[q] for q in range(state["n"]) if q not in silenced]
-                )
-                merged = (min(pool) if lowest else max(pool)) if pool else identity
-                clock[lane] = [merged + 1] * state["n"]
-                continue
-            dropped = wire.keep[lane] if wire.keep is not None else None
-            red = _csr_reduce_python(
-                row, wire.src, wire.indptr, dropped, best_of, identity
-            )
-            clock[lane] = [value + 1 for value in red]
+        np = get_numpy()
+        if self.merge == "min":
+            merged = wire.reduce(state["clock"], np.minimum, BIG)
+        else:
+            merged = wire.reduce(state["clock"], np.maximum, SMALL)
+        state["clock"] = merged + 1
 
 
 class ArrayBoundedUnison(_ClockColumn):
@@ -395,7 +264,9 @@ class ArrayBoundedUnison(_ClockColumn):
 
     Three reductions per round (min, max, and min over strictly-inner
     ring values) reproduce the reference's four-way case split exactly,
-    including the wrap pair ``{0, K-1}``.
+    including the wrap pair ``{0, K-1}``.  Clamping out-of-range clocks
+    is elementwise, so it runs once on the senders' column rather than
+    on every gathered edge.
     """
 
     kind = "csr"
@@ -405,127 +276,23 @@ class ArrayBoundedUnison(_ClockColumn):
         self.K = sync.K
         self.alpha = sync.alpha
 
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        return {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": _int_matrix(backend, lanes, n, 0),
-        }
-
-    def _next_value(self, lowest: int, highest: int, has_inner: bool) -> int:
-        if lowest < 0:
-            return lowest + 1
-        if highest - lowest <= 1:
-            return (lowest + 1) % self.K
-        if not has_inner:
-            return 0  # seen <= {0, K-1}: the wrap pair
-        return -self.alpha
+    def initial_states(self, n: int, lanes: int) -> Any:
+        return {"n": n, "clock": _int_matrix(lanes, n, 0)}
 
     def step(self, state, wire) -> None:
         K, alpha = self.K, self.alpha
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            chunk = wire.chunk
-
-            def reductions(vals, mask):
-                """(min, max, inner-min) of one clamped value block."""
-                clamped = np.where((vals >= -alpha) & (vals < K), vals, -alpha)
-                mn_v = clamped if mask is None else np.where(mask, clamped, BIG)
-                mx_v = clamped if mask is None else np.where(mask, clamped, SMALL)
-                inner_sel = (clamped > 0) & (clamped < K - 1)
-                if mask is not None:
-                    inner_sel &= mask
-                in_v = np.where(inner_sel, clamped, BIG)
-                return mn_v, mx_v, in_v
-
-            if wire.complete_fast:
-                if chunk is not None and state["n"] > chunk:
-                    mn = mx = inner = None
-                    for a, b in _col_chunks(state["n"], chunk):
-                        ok = None if wire.send_ok is None else wire.send_ok[:, a:b]
-                        mn_v, mx_v, in_v = reductions(clock[:, a:b], ok)
-                        p_mn = mn_v.min(axis=1, keepdims=True)
-                        p_mx = mx_v.max(axis=1, keepdims=True)
-                        p_in = in_v.min(axis=1, keepdims=True)
-                        mn = p_mn if mn is None else np.minimum(mn, p_mn)
-                        mx = p_mx if mx is None else np.maximum(mx, p_mx)
-                        inner = p_in if inner is None else np.minimum(inner, p_in)
-                    has_inner = inner < BIG
-                else:
-                    mn_v, mx_v, in_v = reductions(clock, wire.send_ok)
-                    mn = mn_v.min(axis=1, keepdims=True)
-                    mx = mx_v.max(axis=1, keepdims=True)
-                    has_inner = in_v.min(axis=1, keepdims=True) < BIG
-            elif chunk is not None and int(wire.indptr[-1]) > chunk:
-                lanes_n = clock.shape
-                mn = np.empty(lanes_n, dtype=clock.dtype)
-                mx = np.empty(lanes_n, dtype=clock.dtype)
-                inner = np.empty(lanes_n, dtype=clock.dtype)
-                for a, b in _edge_chunks(np, wire.indptr, chunk):
-                    lo, hi = int(wire.indptr[a]), int(wire.indptr[b])
-                    keep = None if wire.keep is None else wire.keep[:, lo:hi]
-                    mn_v, mx_v, in_v = reductions(clock[:, wire.src[lo:hi]], keep)
-                    starts = wire.indptr[a:b] - lo
-                    mn[:, a:b] = np.minimum.reduceat(mn_v, starts, axis=1)
-                    mx[:, a:b] = np.maximum.reduceat(mx_v, starts, axis=1)
-                    inner[:, a:b] = np.minimum.reduceat(in_v, starts, axis=1)
-                has_inner = inner < BIG
-            else:
-                mn_v, mx_v, in_v = reductions(clock[:, wire.src], wire.keep)
-                starts = wire.indptr[:-1]
-                mn = np.minimum.reduceat(mn_v, starts, axis=1)
-                mx = np.maximum.reduceat(mx_v, starts, axis=1)
-                has_inner = np.minimum.reduceat(in_v, starts, axis=1) < BIG
-            new = np.where(
-                mn < 0,
-                mn + 1,
-                np.where(mx - mn <= 1, (mn + 1) % K, np.where(has_inner, -alpha, 0)),
-            )
-            if wire.complete_fast:
-                new = np.broadcast_to(new, clock.shape).copy()
-            state["clock"] = new
-            return
-
-        def clamp(value: int) -> int:
-            return value if -alpha <= value < K else -alpha
-
+        np = get_numpy()
         clock = state["clock"]
-        for lane in range(state["lanes"]):
-            row = clock[lane]
-            if wire.complete_fast:
-                silenced = wire.send_ok[lane] if wire.send_ok is not None else None
-                seen = {
-                    clamp(row[q])
-                    for q in range(state["n"])
-                    if silenced is None or q not in silenced
-                }
-                if not seen:
-                    continue  # every sender dead: no live receivers either
-                lowest, highest = min(seen), max(seen)
-                has_inner = any(0 < v < K - 1 for v in seen)
-                clock[lane] = [self._next_value(lowest, highest, has_inner)] * state[
-                    "n"
-                ]
-                continue
-            dropped = wire.keep[lane] if wire.keep is not None else None
-            out = []
-            for p in range(state["n"]):
-                lowest, highest, has_inner = BIG, SMALL, False
-                for e in range(wire.indptr[p], wire.indptr[p + 1]):
-                    if dropped is not None and e in dropped:
-                        continue
-                    value = clamp(row[wire.src[e]])
-                    lowest = min(lowest, value)
-                    highest = max(highest, value)
-                    if 0 < value < K - 1:
-                        has_inner = True
-                if lowest == BIG:  # dead receiver: frozen garbage
-                    out.append(row[p])
-                    continue
-                out.append(self._next_value(lowest, highest, has_inner))
-            clock[lane] = out
+        clamped = np.where((clock >= -alpha) & (clock < K), clock, -alpha)
+        inner = np.where((clamped > 0) & (clamped < K - 1), clamped, BIG)
+        mn = wire.reduce(clamped, np.minimum, BIG)
+        mx = wire.reduce(clamped, np.maximum, SMALL)
+        has_inner = wire.reduce(inner, np.minimum, BIG) < BIG
+        state["clock"] = np.where(
+            mn < 0,
+            mn + 1,
+            np.where(mx - mn <= 1, (mn + 1) % K, np.where(has_inner, -alpha, 0)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +370,14 @@ class _FloodMinCodec:
         return prop, vmask, dec
 
     def initial_columns(self, n: int):
-        prop = [self.encode_value(self.canonical.proposal_for(pid), "proposal")
-                for pid in range(n)]
-        vmask = [1 << index for index in prop]
-        return prop, vmask
-
-    def lowest_bit_python(self, mask: int) -> int:
-        return (mask & -mask).bit_length() - 1
+        """Every process's specified ``(proposal index, value mask)``."""
+        np = get_numpy()
+        prop = np.array(
+            [self.encode_value(self.canonical.proposal_for(pid), "proposal")
+             for pid in range(n)],
+            dtype=np.int64,
+        )
+        return prop, 1 << prop
 
 
 def _check_dense_size(n: int, lanes: int) -> None:
@@ -635,28 +403,18 @@ class ArrayFtFloodMin(ArrayProtocol):
         super().__init__(sync)
         self.codec = _FloodMinCodec(sync.canonical)
 
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+    def initial_states(self, n: int, lanes: int) -> Any:
         _check_dense_size(n, lanes)
+        np = get_numpy()
         prop0, vmask0 = self.codec.initial_columns(n)
-        state = {
-            "backend": backend,
-            "lanes": lanes,
+        return {
             "n": n,
-            "clock": _int_matrix(backend, lanes, n, 1),
-            "halted": _int_matrix(backend, lanes, n, 0),
-            "prop": _int_matrix(backend, lanes, n, 0),
-            "vmask": _int_matrix(backend, lanes, n, 0),
-            "dec": _int_matrix(backend, lanes, n, 0),
+            "clock": _int_matrix(lanes, n, 1),
+            "halted": _int_matrix(lanes, n, 0),
+            "prop": np.tile(prop0, (lanes, 1)),
+            "vmask": np.tile(vmask0, (lanes, 1)),
+            "dec": _int_matrix(lanes, n, 0),
         }
-        for lane in range(lanes):
-            for pid in range(n):
-                state["prop"][lane][pid] = prop0[pid]
-                state["vmask"][lane][pid] = vmask0[pid]
-        if backend == "numpy":
-            np = get_numpy()
-            state["prop"] = np.asarray(state["prop"], dtype=np.int64)
-            state["vmask"] = np.asarray(state["vmask"], dtype=np.int64)
-        return state
 
     def load_state(self, state, lane, pid, mapping) -> None:
         value = _require_clock(mapping)
@@ -694,51 +452,21 @@ class ArrayFtFloodMin(ArrayProtocol):
 
     def step(self, state, wire) -> None:
         FR = self.codec.final_round
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock, halted = state["clock"], state["halted"].astype(bool)
-            vmask, dec = state["vmask"], state["dec"]
-            deliv = wire.delivered & ~halted[:, None, :]
-            contrib = np.where(deliv, vmask[:, None, :], 0)
-            merged = vmask | np.bitwise_or.reduce(contrib, axis=2)
-            decide = (~halted) & (clock == FR) & (merged != 0)
-            low = merged & -merged
-            low_idx = np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(
-                np.int64
-            )
-            state["vmask"] = np.where(halted, vmask, merged)
-            state["dec"] = np.where(decide, low_idx + 1, dec)
-            state["clock"] = np.where(halted, clock, clock + 1)
-            state["halted"] = (halted | (clock == FR)).astype(np.int64)
-            return
-        lanes, n = state["lanes"], state["n"]
-        for lane in range(lanes):
-            clock, halted = state["clock"][lane], state["halted"][lane]
-            vmask, dec = state["vmask"][lane], state["dec"][lane]
-            senders = wire.delivered[lane]  # per-receiver sender sets
-            new_clock, new_halted, new_vmask, new_dec = [], [], [], []
-            for p in range(n):
-                if halted[p]:
-                    new_clock.append(clock[p])
-                    new_halted.append(1)
-                    new_vmask.append(vmask[p])
-                    new_dec.append(dec[p])
-                    continue
-                merged = vmask[p]
-                for q in senders[p]:
-                    if not halted[q]:
-                        merged |= vmask[q]
-                decided = dec[p]
-                if clock[p] == FR and merged:
-                    decided = self.codec.lowest_bit_python(merged) + 1
-                new_clock.append(clock[p] + 1)
-                new_halted.append(1 if clock[p] == FR else 0)
-                new_vmask.append(merged)
-                new_dec.append(decided)
-            state["clock"][lane] = new_clock
-            state["halted"][lane] = new_halted
-            state["vmask"][lane] = new_vmask
-            state["dec"][lane] = new_dec
+        np = get_numpy()
+        clock, halted = state["clock"], state["halted"].astype(bool)
+        vmask, dec = state["vmask"], state["dec"]
+        deliv = wire.delivered & ~halted[:, None, :]
+        contrib = np.where(deliv, vmask[:, None, :], 0)
+        merged = vmask | np.bitwise_or.reduce(contrib, axis=2)
+        decide = (~halted) & (clock == FR) & (merged != 0)
+        low = merged & -merged
+        low_idx = np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(
+            np.int64
+        )
+        state["vmask"] = np.where(halted, vmask, merged)
+        state["dec"] = np.where(decide, low_idx + 1, dec)
+        state["clock"] = np.where(halted, clock, clock + 1)
+        state["halted"] = (halted | (clock == FR)).astype(np.int64)
 
 
 class ArrayCompiledFloodMin(ArrayProtocol):
@@ -758,37 +486,23 @@ class ArrayCompiledFloodMin(ArrayProtocol):
         self.codec = _FloodMinCodec(sync.canonical)
         self.use_suspects = sync.use_suspects
 
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+    def initial_states(self, n: int, lanes: int) -> Any:
         _check_dense_size(n, lanes)
+        np = get_numpy()
         prop0, vmask0 = self.codec.initial_columns(n)
-        state = {
-            "backend": backend,
-            "lanes": lanes,
+        return {
             "n": n,
-            "clock": _int_matrix(backend, lanes, n, 0),
-            "prop": _int_matrix(backend, lanes, n, 0),
-            "vmask": _int_matrix(backend, lanes, n, 0),
-            "dec": _int_matrix(backend, lanes, n, 0),
-            "last_dec": _int_matrix(backend, lanes, n, 0),
-            "dec_at": _int_matrix(backend, lanes, n, 0),
-            "dec_at_set": _int_matrix(backend, lanes, n, 0),
+            "clock": _int_matrix(lanes, n, 0),
+            "prop": np.tile(prop0, (lanes, 1)),
+            "vmask": np.tile(vmask0, (lanes, 1)),
+            "dec": _int_matrix(lanes, n, 0),
+            "last_dec": _int_matrix(lanes, n, 0),
+            "dec_at": _int_matrix(lanes, n, 0),
+            "dec_at_set": _int_matrix(lanes, n, 0),
+            "suspect": np.zeros((lanes, n, n), dtype=bool),
+            "init_prop": prop0,
+            "init_vmask": vmask0,
         }
-        for lane in range(lanes):
-            for pid in range(n):
-                state["prop"][lane][pid] = prop0[pid]
-                state["vmask"][lane][pid] = vmask0[pid]
-        if backend == "numpy":
-            np = get_numpy()
-            state["prop"] = np.asarray(state["prop"], dtype=np.int64)
-            state["vmask"] = np.asarray(state["vmask"], dtype=np.int64)
-            state["suspect"] = np.zeros((lanes, n, n), dtype=bool)
-            state["init_prop"] = np.asarray(prop0, dtype=np.int64)
-            state["init_vmask"] = np.asarray(vmask0, dtype=np.int64)
-        else:
-            state["suspect"] = [[set() for _ in range(n)] for _ in range(lanes)]
-            state["init_prop"] = list(prop0)
-            state["init_vmask"] = list(vmask0)
-        return state
 
     def load_state(self, state, lane, pid, mapping) -> None:
         value = _require_clock(mapping)
@@ -825,21 +539,13 @@ class ArrayCompiledFloodMin(ArrayProtocol):
         state["last_dec"][lane][pid] = last_dec
         state["dec_at"][lane][pid] = 0 if decided_at is None else decided_at
         state["dec_at_set"][lane][pid] = 0 if decided_at is None else 1
-        if state["backend"] == "numpy":
-            state["suspect"][lane, pid, :] = False
-            for q in suspects:
-                state["suspect"][lane, pid, q] = True
-        else:
-            state["suspect"][lane][pid] = set(suspects)
+        state["suspect"][lane, pid, :] = False
+        for q in suspects:
+            state["suspect"][lane, pid, q] = True
 
     def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            suspect = frozenset(
-                int(q) for q in np.nonzero(state["suspect"][lane, pid])[0]
-            )
-        else:
-            suspect = frozenset(state["suspect"][lane][pid])
+        np = get_numpy()
+        suspect = frozenset(int(q) for q in np.nonzero(state["suspect"][lane, pid])[0])
         decided_at = (
             int(state["dec_at"][lane][pid])
             if state["dec_at_set"][lane][pid]
@@ -862,95 +568,38 @@ class ArrayCompiledFloodMin(ArrayProtocol):
 
     def step(self, state, wire) -> None:
         FR = self.codec.final_round
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            vmask, dec = state["vmask"], state["dec"]
-            suspect = state["suspect"]
-            deliv = wire.delivered
-            clock_q = clock[:, None, :]
-            clock_p = clock[:, :, None]
-            tags = np.where(deliv, clock_q, SMALL)
-            new_clock = tags.max(axis=2) + 1
-            at_my = deliv & (clock_q == clock_p)
-            contrib_mask = at_my & ~suspect if self.use_suspects else at_my
-            merged = vmask | np.bitwise_or.reduce(
-                np.where(contrib_mask, vmask[:, None, :], 0), axis=2
-            )
-            suspects_new = suspect | ~at_my
-            k = clock % FR + 1
-            decide = (k == FR) & (merged != 0)
-            low = merged & -merged
-            low_idx = np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(
-                np.int64
-            )
-            dec_new = np.where(decide, low_idx + 1, dec)
-            journal = (k == FR) & (dec_new != 0)
-            state["last_dec"] = np.where(journal, dec_new, state["last_dec"])
-            state["dec_at"] = np.where(journal, clock, state["dec_at"])
-            state["dec_at_set"] = state["dec_at_set"] | journal
-            reset = (new_clock % FR + 1) == 1
-            state["vmask"] = np.where(reset, state["init_vmask"][None, :], merged)
-            state["prop"] = np.where(reset, state["init_prop"][None, :], state["prop"])
-            state["dec"] = np.where(reset, 0, dec_new)
-            state["suspect"] = np.where(reset[:, :, None], False, suspects_new)
-            state["clock"] = new_clock
-            return
-        lanes, n = state["lanes"], state["n"]
-        for lane in range(lanes):
-            clock = state["clock"][lane]
-            vmask, dec = state["vmask"][lane], state["dec"][lane]
-            prop = state["prop"][lane]
-            last_dec, dec_at = state["last_dec"][lane], state["dec_at"][lane]
-            dec_at_set = state["dec_at_set"][lane]
-            suspect = state["suspect"][lane]
-            senders = wire.delivered[lane]  # per-receiver sender sets
-            out = {key: [] for key in
-                   ("clock", "vmask", "dec", "prop", "last_dec", "dec_at",
-                    "dec_at_set", "suspect")}
-            for p in range(n):
-                arrived = senders[p]
-                if arrived:
-                    tag_max = max(clock[q] for q in arrived)
-                else:  # dead receiver: frozen garbage
-                    tag_max = clock[p] - 1
-                new_clock = tag_max + 1
-                at_my = {q for q in arrived if clock[q] == clock[p]}
-                merged = vmask[p]
-                for q in at_my:
-                    if not self.use_suspects or q not in suspect[p]:
-                        merged |= vmask[q]
-                suspects_new = suspect[p] | (set(range(n)) - at_my)
-                k = clock[p] % FR + 1
-                decided = dec[p]
-                if k == FR and merged:
-                    decided = self.codec.lowest_bit_python(merged) + 1
-                if k == FR and decided:
-                    last, at, at_set = decided, clock[p], 1
-                else:
-                    last, at, at_set = last_dec[p], dec_at[p], dec_at_set[p]
-                if new_clock % FR + 1 == 1:
-                    out["vmask"].append(state["init_vmask"][p])
-                    out["prop"].append(state["init_prop"][p])
-                    out["dec"].append(0)
-                    out["suspect"].append(set())
-                else:
-                    out["vmask"].append(merged)
-                    out["prop"].append(prop[p])
-                    out["dec"].append(decided)
-                    out["suspect"].append(suspects_new)
-                out["clock"].append(new_clock)
-                out["last_dec"].append(last)
-                out["dec_at"].append(at)
-                out["dec_at_set"].append(at_set)
-            state["clock"][lane] = out["clock"]
-            state["vmask"][lane] = out["vmask"]
-            state["dec"][lane] = out["dec"]
-            state["prop"][lane] = out["prop"]
-            state["last_dec"][lane] = out["last_dec"]
-            state["dec_at"][lane] = out["dec_at"]
-            state["dec_at_set"][lane] = out["dec_at_set"]
-            state["suspect"][lane] = out["suspect"]
+        np = get_numpy()
+        clock = state["clock"]
+        vmask, dec = state["vmask"], state["dec"]
+        suspect = state["suspect"]
+        deliv = wire.delivered
+        clock_q = clock[:, None, :]
+        clock_p = clock[:, :, None]
+        tags = np.where(deliv, clock_q, SMALL)
+        new_clock = tags.max(axis=2) + 1
+        at_my = deliv & (clock_q == clock_p)
+        contrib_mask = at_my & ~suspect if self.use_suspects else at_my
+        merged = vmask | np.bitwise_or.reduce(
+            np.where(contrib_mask, vmask[:, None, :], 0), axis=2
+        )
+        suspects_new = suspect | ~at_my
+        k = clock % FR + 1
+        decide = (k == FR) & (merged != 0)
+        low = merged & -merged
+        low_idx = np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(
+            np.int64
+        )
+        dec_new = np.where(decide, low_idx + 1, dec)
+        journal = (k == FR) & (dec_new != 0)
+        state["last_dec"] = np.where(journal, dec_new, state["last_dec"])
+        state["dec_at"] = np.where(journal, clock, state["dec_at"])
+        state["dec_at_set"] = state["dec_at_set"] | journal
+        reset = (new_clock % FR + 1) == 1
+        state["vmask"] = np.where(reset, state["init_vmask"][None, :], merged)
+        state["prop"] = np.where(reset, state["init_prop"][None, :], state["prop"])
+        state["dec"] = np.where(reset, 0, dec_new)
+        state["suspect"] = np.where(reset[:, :, None], False, suspects_new)
+        state["clock"] = new_clock
 
 
 # ---------------------------------------------------------------------------
@@ -992,32 +641,21 @@ class ArrayPhaseQueen(ArrayProtocol):
         self.f = canonical.f
         self.final_round = canonical.final_round
 
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+    def initial_states(self, n: int, lanes: int) -> Any:
         _check_dense_size(n, lanes)
+        np = get_numpy()
         canonical = self.sync.canonical
-        props = [canonical.proposal_for(pid) for pid in range(n)]
-        state = {
-            "backend": backend,
-            "lanes": lanes,
+        props = np.array([canonical.proposal_for(pid) for pid in range(n)], dtype=np.int64)
+        return {
             "n": n,
-            "clock": _int_matrix(backend, lanes, n, 1),
-            "halted": _int_matrix(backend, lanes, n, 0),
-            "prop": _int_matrix(backend, lanes, n, 0),
-            "value": _int_matrix(backend, lanes, n, 0),
-            "majority": _int_matrix(backend, lanes, n, 0),
-            "count": _int_matrix(backend, lanes, n, 0),
-            "dec": _int_matrix(backend, lanes, n, 0),
+            "clock": _int_matrix(lanes, n, 1),
+            "halted": _int_matrix(lanes, n, 0),
+            "prop": np.tile(props, (lanes, 1)),
+            "value": np.tile(props, (lanes, 1)),
+            "majority": np.tile(props, (lanes, 1)),
+            "count": _int_matrix(lanes, n, 0),
+            "dec": _int_matrix(lanes, n, 0),
         }
-        for lane in range(lanes):
-            for pid in range(n):
-                state["prop"][lane][pid] = props[pid]
-                state["value"][lane][pid] = props[pid]
-                state["majority"][lane][pid] = props[pid]
-        if backend == "numpy":
-            np = get_numpy()
-            for key in ("prop", "value", "majority"):
-                state[key] = np.asarray(state[key], dtype=np.int64)
-        return state
 
     def load_state(self, state, lane, pid, mapping) -> None:
         value = _require_clock(mapping)
@@ -1069,87 +707,43 @@ class ArrayPhaseQueen(ArrayProtocol):
     def step(self, state, wire) -> None:
         FR, f = self.final_round, self.f
         n = state["n"]
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            halted = state["halted"].astype(bool)
-            value, majority = state["value"], state["majority"]
-            count, dec = state["count"], state["dec"]
-            deliv = wire.delivered & ~halted[:, None, :]
-            # Ballot round (odd clocks): masked binary tallies.
-            sent = value[:, None, :]
-            count1 = (deliv & (sent == 1)).sum(axis=2)
-            count0 = (deliv & (sent == 0)).sum(axis=2)
-            total = count0 + count1
-            best = (count1 > count0).astype(np.int64)
-            ballot_majority = np.where(total > 0, best, value)
-            ballot_count = np.where(
-                total > 0, np.where(count1 > count0, count1, count0), 0
-            )
-            # Queen round (even clocks): keep when sure, else adopt the
-            # queen's broadcast majority, else keep the local majority.
-            phase = (clock + 1) // 2
-            queen = (phase - 1) % n
-            queen_sent = np.take_along_axis(deliv, queen[:, :, None], axis=2)[:, :, 0]
-            queen_majority = np.take_along_axis(majority, queen, axis=1)
-            sure = 2 * count > n + 2 * f
-            queen_value = np.where(
-                sure, majority, np.where(queen_sent, queen_majority, majority)
-            )
-            odd = clock % 2 == 1
-            new_value = np.where(odd, value, queen_value)
-            new_majority = np.where(odd, ballot_majority, majority)
-            new_count = np.where(odd, ballot_count, count)
-            new_dec = np.where(~odd & (clock == FR), queen_value + 1, dec)
-            state["value"] = np.where(halted, value, new_value)
-            state["majority"] = np.where(halted, majority, new_majority)
-            state["count"] = np.where(halted, count, new_count)
-            state["dec"] = np.where(halted, dec, new_dec)
-            state["clock"] = np.where(halted, clock, clock + 1)
-            state["halted"] = (halted | (clock == FR)).astype(np.int64)
-            return
-        for lane in range(state["lanes"]):
-            clock, halted = state["clock"][lane], state["halted"][lane]
-            value, majority = state["value"][lane], state["majority"][lane]
-            count, dec = state["count"][lane], state["dec"][lane]
-            senders = wire.delivered[lane]  # per-receiver sender sets
-            out = {key: [] for key in
-                   ("clock", "halted", "value", "majority", "count", "dec")}
-            for p in range(n):
-                if halted[p]:
-                    for key, column in (
-                        ("clock", clock), ("halted", halted), ("value", value),
-                        ("majority", majority), ("count", count), ("dec", dec),
-                    ):
-                        out[key].append(column[p])
-                    continue
-                k = clock[p]
-                arrived = [q for q in sorted(senders[p]) if not halted[q]]
-                if k % 2 == 1:
-                    count1 = sum(1 for q in arrived if value[q] == 1)
-                    count0 = len(arrived) - count1
-                    if arrived:
-                        new_majority = 1 if count1 > count0 else 0
-                        new_count = count1 if count1 > count0 else count0
-                    else:
-                        new_majority, new_count = value[p], 0
-                    new_value, new_dec = value[p], dec[p]
-                else:
-                    queen = ((k + 1) // 2 - 1) % n
-                    if 2 * count[p] > n + 2 * f or queen not in arrived:
-                        new_value = majority[p]
-                    else:
-                        new_value = majority[queen]
-                    new_majority, new_count = majority[p], count[p]
-                    new_dec = new_value + 1 if k == FR else dec[p]
-                out["clock"].append(k + 1)
-                out["halted"].append(1 if k == FR else 0)
-                out["value"].append(new_value)
-                out["majority"].append(new_majority)
-                out["count"].append(new_count)
-                out["dec"].append(new_dec)
-            for key, column in out.items():
-                state[key][lane] = column
+        np = get_numpy()
+        clock = state["clock"]
+        halted = state["halted"].astype(bool)
+        value, majority = state["value"], state["majority"]
+        count, dec = state["count"], state["dec"]
+        deliv = wire.delivered & ~halted[:, None, :]
+        # Ballot round (odd clocks): masked binary tallies.
+        sent = value[:, None, :]
+        count1 = (deliv & (sent == 1)).sum(axis=2)
+        count0 = (deliv & (sent == 0)).sum(axis=2)
+        total = count0 + count1
+        best = (count1 > count0).astype(np.int64)
+        ballot_majority = np.where(total > 0, best, value)
+        ballot_count = np.where(
+            total > 0, np.where(count1 > count0, count1, count0), 0
+        )
+        # Queen round (even clocks): keep when sure, else adopt the
+        # queen's broadcast majority, else keep the local majority.
+        phase = (clock + 1) // 2
+        queen = (phase - 1) % n
+        queen_sent = np.take_along_axis(deliv, queen[:, :, None], axis=2)[:, :, 0]
+        queen_majority = np.take_along_axis(majority, queen, axis=1)
+        sure = 2 * count > n + 2 * f
+        queen_value = np.where(
+            sure, majority, np.where(queen_sent, queen_majority, majority)
+        )
+        odd = clock % 2 == 1
+        new_value = np.where(odd, value, queen_value)
+        new_majority = np.where(odd, ballot_majority, majority)
+        new_count = np.where(odd, ballot_count, count)
+        new_dec = np.where(~odd & (clock == FR), queen_value + 1, dec)
+        state["value"] = np.where(halted, value, new_value)
+        state["majority"] = np.where(halted, majority, new_majority)
+        state["count"] = np.where(halted, count, new_count)
+        state["dec"] = np.where(halted, dec, new_dec)
+        state["clock"] = np.where(halted, clock, clock + 1)
+        state["halted"] = (halted | (clock == FR)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -1179,32 +773,20 @@ class ArrayDetectorStack(ArrayProtocol):
         super().__init__(sync)
         self.max_timeout = sync.max_timeout
 
-    def _matrix_stack(self, backend: str, lanes: int, n: int, fill: int):
-        if backend == "numpy":
-            np = get_numpy()
-            return np.full((lanes, n, n), fill, dtype=np.int64)
-        return [[[fill] * n for _ in range(n)] for _ in range(lanes)]
-
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+    def initial_states(self, n: int, lanes: int) -> Any:
         _check_dense_size(n, lanes)
-        state = {
-            "backend": backend,
-            "lanes": lanes,
+        np = get_numpy()
+        shape = (lanes, n, n)
+        return {
             "n": n,
-            "clock": _int_matrix(backend, lanes, n, 0),
-            "last_heard": self._matrix_stack(backend, lanes, n, 0),
-            "timeout": self._matrix_stack(
-                backend, lanes, n, self.sync.initial_timeout
-            ),
-            "suspected": self._matrix_stack(backend, lanes, n, 0),
-            "num": self._matrix_stack(backend, lanes, n, 0),
-            "status": self._matrix_stack(backend, lanes, n, _ALIVE_CODE),
+            "clock": _int_matrix(lanes, n, 0),
+            "last_heard": np.zeros(shape, dtype=np.int64),
+            "timeout": np.full(shape, self.sync.initial_timeout, dtype=np.int64),
+            "suspected": np.zeros(shape, dtype=bool),
+            "num": np.zeros(shape, dtype=np.int64),
+            "status": np.full(shape, _ALIVE_CODE, dtype=np.int64),
+            "eye": np.eye(n, dtype=bool),
         }
-        if backend == "numpy":
-            np = get_numpy()
-            state["suspected"] = state["suspected"].astype(bool)
-            state["eye"] = np.eye(n, dtype=bool)
-        return state
 
     def load_state(self, state, lane, pid, mapping) -> None:
         value = _require_clock(mapping)
@@ -1240,21 +822,11 @@ class ArrayDetectorStack(ArrayProtocol):
                 )
             codes.append(_DEAD_CODE if verdict == DEAD else _ALIVE_CODE)
         state["clock"][lane][pid] = value
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            state["last_heard"][lane, pid, :] = vectors["last_heard"]
-            state["timeout"][lane, pid, :] = vectors["timeout"]
-            state["suspected"][lane, pid, :] = np.asarray(
-                vectors["suspected"], dtype=bool
-            )
-            state["num"][lane, pid, :] = vectors["num"]
-            state["status"][lane, pid, :] = codes
-        else:
-            state["last_heard"][lane][pid] = [int(v) for v in vectors["last_heard"]]
-            state["timeout"][lane][pid] = [int(v) for v in vectors["timeout"]]
-            state["suspected"][lane][pid] = [bool(v) for v in vectors["suspected"]]
-            state["num"][lane][pid] = [int(v) for v in vectors["num"]]
-            state["status"][lane][pid] = codes
+        state["last_heard"][lane, pid, :] = vectors["last_heard"]
+        state["timeout"][lane, pid, :] = vectors["timeout"]
+        state["suspected"][lane, pid, :] = vectors["suspected"]
+        state["num"][lane, pid, :] = vectors["num"]
+        state["status"][lane, pid, :] = codes
 
     def read_state(self, state, lane, pid) -> Dict[str, Any]:
         row = lambda key: state[key][lane][pid]  # noqa: E731
@@ -1270,120 +842,57 @@ class ArrayDetectorStack(ArrayProtocol):
     def step(self, state, wire) -> None:
         mt = self.max_timeout
         n = state["n"]
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            heard, timeout = state["last_heard"], state["timeout"]
-            suspected = state["suspected"]
-            num, status = state["num"], state["status"]
-            deliv = wire.delivered
-            now = clock[:, :, None]
-            eye = state["eye"]
-            # 1. heartbeats: unsuspect + backoff, refresh last_heard.
-            timeout = np.where(
-                suspected & deliv, np.minimum(timeout * 2, mt), timeout
+        np = get_numpy()
+        clock = state["clock"]
+        heard, timeout = state["last_heard"], state["timeout"]
+        suspected = state["suspected"]
+        num, status = state["num"], state["status"]
+        deliv = wire.delivered
+        now = clock[:, :, None]
+        eye = state["eye"]
+        # 1. heartbeats: unsuspect + backoff, refresh last_heard.
+        timeout = np.where(
+            suspected & deliv, np.minimum(timeout * 2, mt), timeout
+        )
+        suspected = suspected & ~deliv
+        heard = np.where(deliv, now, heard)
+        # 2. first-max-wins adoption, one target column at a time.
+        new_num, new_status = num.copy(), status.copy()
+        for s in range(n):
+            offers = np.where(deliv, num[:, :, s][:, None, :], SMALL)
+            best = offers.max(axis=2)
+            winner = offers.argmax(axis=2)  # the first best sender
+            adopt = best > num[:, :, s]
+            winner_status = np.take_along_axis(status[:, :, s], winner, axis=1)
+            new_num[:, :, s] = np.where(adopt, best, num[:, :, s])
+            new_status[:, :, s] = np.where(
+                adopt, winner_status, status[:, :, s]
             )
-            suspected = suspected & ~deliv
-            heard = np.where(deliv, now, heard)
-            # 2. first-max-wins adoption, one target column at a time.
-            new_num, new_status = num.copy(), status.copy()
-            for s in range(n):
-                offers = np.where(deliv, num[:, :, s][:, None, :], SMALL)
-                best = offers.max(axis=2)
-                winner = offers.argmax(axis=2)  # the first best sender
-                adopt = best > num[:, :, s]
-                winner_status = np.take_along_axis(status[:, :, s], winner, axis=1)
-                new_num[:, :, s] = np.where(adopt, best, num[:, :, s])
-                new_status[:, :, s] = np.where(
-                    adopt, winner_status, status[:, :, s]
-                )
-            num, status = new_num, new_status
-            # 3. suspicion tick with the corruption guards.
-            heard = np.where(eye, now, np.minimum(heard, now))
-            timeout = np.where(eye | ((timeout > 0) & (timeout <= mt)), timeout, mt)
-            suspected = (suspected | (now - heard > timeout)) & ~eye
-            # 4. Figure 4 tick: suspicion increments, then self.
-            num = num + suspected + eye
-            status = np.where(
-                eye, _ALIVE_CODE, np.where(suspected, _DEAD_CODE, status)
-            )
-            state["clock"] = clock + 1
-            state["last_heard"] = heard
-            state["timeout"] = timeout
-            state["suspected"] = suspected
-            state["num"] = num
-            state["status"] = status
-            return
-        for lane in range(state["lanes"]):
-            senders = wire.delivered[lane]  # per-receiver sender sets
-            clock = state["clock"][lane]
-            heard_l, timeout_l = state["last_heard"][lane], state["timeout"][lane]
-            sus_l = state["suspected"][lane]
-            num_l, status_l = state["num"][lane], state["status"][lane]
-            new = {key: [] for key in
-                   ("clock", "last_heard", "timeout", "suspected", "num", "status")}
-            for p in range(n):
-                now = clock[p]
-                heard, timeout = list(heard_l[p]), list(timeout_l[p])
-                sus = list(sus_l[p])
-                num, status = list(num_l[p]), list(status_l[p])
-                arrived = sorted(senders[p])
-                for q in arrived:
-                    if sus[q]:
-                        sus[q] = False
-                        timeout[q] = min(timeout[q] * 2, mt)
-                    heard[q] = now
-                for q in arrived:
-                    offered_num, offered_status = num_l[q], status_l[q]
-                    for s in range(n):
-                        if offered_num[s] > num[s]:
-                            num[s] = offered_num[s]
-                            status[s] = offered_status[s]
-                for s in range(n):
-                    if s == p:
-                        sus[s] = False
-                        heard[s] = now
-                        continue
-                    if heard[s] > now:
-                        heard[s] = now
-                    if not 0 < timeout[s] <= mt:
-                        timeout[s] = mt
-                    if now - heard[s] > timeout[s]:
-                        sus[s] = True
-                for s in range(n):
-                    if sus[s]:
-                        num[s] += 1
-                        status[s] = _DEAD_CODE
-                    if s == p:
-                        num[s] += 1
-                        status[s] = _ALIVE_CODE
-                new["clock"].append(now + 1)
-                new["last_heard"].append(heard)
-                new["timeout"].append(timeout)
-                new["suspected"].append(sus)
-                new["num"].append(num)
-                new["status"].append(status)
-            for key, column in new.items():
-                state[key][lane] = column
+        num, status = new_num, new_status
+        # 3. suspicion tick with the corruption guards.
+        heard = np.where(eye, now, np.minimum(heard, now))
+        timeout = np.where(eye | ((timeout > 0) & (timeout <= mt)), timeout, mt)
+        suspected = (suspected | (now - heard > timeout)) & ~eye
+        # 4. Figure 4 tick: suspicion increments, then self.
+        num = num + suspected + eye
+        status = np.where(
+            eye, _ALIVE_CODE, np.where(suspected, _DEAD_CODE, status)
+        )
+        state["clock"] = clock + 1
+        state["last_heard"] = heard
+        state["timeout"] = timeout
+        state["suspected"] = suspected
+        state["num"] = num
+        state["status"] = status
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-#: Extension point: each matcher maps a SyncProtocol to an ArrayProtocol
-#: (or None).  Matchers added via register_array_protocol run first.
-_MATCHERS: List[Callable[[SyncProtocol], Optional[ArrayProtocol]]] = []
 
-
-def register_array_protocol(
-    matcher: Callable[[SyncProtocol], Optional[ArrayProtocol]],
-) -> None:
-    """Register a custom SyncProtocol -> ArrayProtocol matcher."""
-    _MATCHERS.insert(0, matcher)
-
-
-def _builtin_matcher(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
+def as_array_protocol(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
+    """The batched twin of ``protocol``, or ``None`` if it has none."""
     # Exact type matches: a user subclass may override update() in ways
     # the batched twin would silently ignore, so it must fall back.
     kind = type(protocol)
@@ -1407,11 +916,3 @@ def _builtin_matcher(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
         return ArrayDetectorStack(protocol)
     return None
 
-
-def as_array_protocol(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
-    """The batched twin of ``protocol``, or ``None`` if it has none."""
-    for matcher in _MATCHERS:
-        batched = matcher(protocol)
-        if batched is not None:
-            return batched
-    return _builtin_matcher(protocol)

@@ -6,9 +6,8 @@ Two claims, both out of the reference engine's honest reach:
    reference engine's processes/sec at n = 10^4 (the BENCH_ARRAY
    microbenchmark records the committed numbers; this experiment
    re-measures a fast inline sample so the claim is checked wherever
-   the experiment runs, and skips the ratio check when NumPy is absent
-   — the pure-Python data plane is a correctness fallback, not a
-   performance claim).
+   the experiment runs, and skips it when NumPy is absent — the sweep
+   below then falls back, loudly, to the reference engine).
 2. **Diameter law at scale** — min-rule unison started from randomly
    corrupted clocks stabilizes within the graph diameter on ring and
    grid topologies at n = 10^4, where one *seed* of the reference
@@ -206,16 +205,18 @@ def run(fast: bool = False, jobs: Optional[int] = None) -> ExperimentResult:
                 "(measurement is vacuous)",
             )
 
-    array_pps, reference_pps = measure_throughput(bench_n, bench_lanes, bench_rounds)
-    speedup = array_pps / reference_pps if reference_pps else float("inf")
-    report.add_row(
-        "throughput",
-        bench_n,
-        "-",
-        bench_lanes,
-        f"{array_pps:,.0f} proc/s ({speedup:.0f}x ref)",
-    )
-    if has_numpy():
+    if not has_numpy():
+        report.add_row("throughput", bench_n, "-", bench_lanes, "skipped: no numpy")
+    else:
+        array_pps, reference_pps = measure_throughput(bench_n, bench_lanes, bench_rounds)
+        speedup = array_pps / reference_pps if reference_pps else float("inf")
+        report.add_row(
+            "throughput",
+            bench_n,
+            "-",
+            bench_lanes,
+            f"{array_pps:,.0f} proc/s ({speedup:.0f}x ref)",
+        )
         expect.check(
             speedup >= speedup_floor,
             f"array/reference speedup {speedup:.1f}x below the "

@@ -4,9 +4,9 @@ Hypothesis draws random (protocol, topology, fault plan, seeds)
 scenarios — crashes, omission campaigns, initial and mid-run systemic
 corruption, churn — and requires digest-identical histories, identical
 faulty sets and identical final states between ``run_sync`` and
-``run_array`` on every data plane (pure-Python always; NumPy when
-installed).  This is the generative widening of the pinned scenarios in
-``tests/unit/test_array_engine.py``.
+``run_array``.  This is the generative widening of the pinned scenarios
+in ``tests/unit/test_array_engine.py``; the last property pins the
+wire's reduction primitive itself against a per-receiver loop.
 """
 
 import pytest
@@ -14,17 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array import assert_conformance, has_numpy, run_array
+from repro.array.engine import RoundWire
+from repro.array.protocols import BIG, SMALL
 from repro.net.conformance import history_digest
 from repro.core.compiler import compile_protocol
 from repro.core.rounds import RoundAgreementProtocol
 from repro.kernel.faults import FaultPlan
-from repro.kernel.topology import ChurnEvent, ChurnSchedule, GridTopology, RingTopology
+from repro.kernel.topology import (
+    ChurnEvent,
+    ChurnSchedule,
+    ExplicitTopology,
+    GridTopology,
+    RingTopology,
+)
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.unison import BoundedUnison, MinUnison
 from repro.sync.adversary import FaultMode, RandomAdversary
 from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
 
-BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
+pytestmark = pytest.mark.skipif(not has_numpy(), reason="the array engine needs numpy")
 
 ROUNDS = 8
 
@@ -143,10 +151,9 @@ def _plan_factory(n, spec, churn):
     return make
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=25, deadline=None)
 @given(scenario=scenarios())
-def test_random_scenarios_are_digest_identical(backend, scenario):
+def test_random_scenarios_are_digest_identical(scenario):
     n, protocol_name, topology_name, lane_specs, churn = scenario
     assert_conformance(
         _make_protocol(protocol_name, n),
@@ -154,7 +161,6 @@ def test_random_scenarios_are_digest_identical(backend, scenario):
         rounds=ROUNDS,
         plan_factories=[_plan_factory(n, spec, churn) for spec in lane_specs],
         topology=_make_topology(topology_name, n),
-        backend=backend,
     )
 
 
@@ -168,10 +174,9 @@ def test_random_scenarios_are_digest_identical(backend, scenario):
 # digest comparison pins it to the unchunked batched run as well.
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=20, deadline=None)
 @given(scenario=scenarios(), chunk=st.integers(min_value=1, max_value=40))
-def test_chunked_random_scenarios_match_run_sync(backend, scenario, chunk):
+def test_chunked_random_scenarios_match_run_sync(scenario, chunk):
     n, protocol_name, topology_name, lane_specs, churn = scenario
     assert_conformance(
         _make_protocol(protocol_name, n),
@@ -179,19 +184,13 @@ def test_chunked_random_scenarios_match_run_sync(backend, scenario, chunk):
         rounds=ROUNDS,
         plan_factories=[_plan_factory(n, spec, churn) for spec in lane_specs],
         topology=_make_topology(topology_name, n),
-        backend=backend,
         chunk=chunk,
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=15, deadline=None)
-@given(
-    scenario=scenarios(),
-    chunk=st.integers(min_value=1, max_value=40),
-    max_bytes=st.one_of(st.none(), st.integers(min_value=1 << 8, max_value=1 << 14)),
-)
-def test_chunked_equals_unchunked_batched_run(backend, scenario, chunk, max_bytes):
+@given(scenario=scenarios(), chunk=st.integers(min_value=1, max_value=40))
+def test_chunked_equals_unchunked_batched_run(scenario, chunk):
     n, protocol_name, topology_name, lane_specs, churn = scenario
 
     def batched(**kwargs):
@@ -202,15 +201,90 @@ def test_chunked_equals_unchunked_batched_run(backend, scenario, chunk, max_byte
             fault_plans=[_plan_factory(n, spec, churn)() for spec in lane_specs],
             topology=_make_topology(topology_name, n),
             record_history=True,
-            backend=backend,
             **kwargs,
         )
 
     plain = batched()
-    chunked = batched(chunk=chunk, max_bytes=max_bytes)
+    chunked = batched(chunk=chunk)
     assert chunked.faulty == plain.faulty
     for lane in range(len(lane_specs)):
         assert history_digest(chunked.histories[lane]) == history_digest(
             plain.histories[lane]
         )
         assert chunked.final_states(lane) == plain.final_states(lane)
+
+
+# -- the wire's reduction primitive, against a per-receiver loop -------------
+
+
+@st.composite
+def wires(draw):
+    """A random wire: CSR over a random graph, or the complete-graph form."""
+    import numpy as np
+
+    n = draw(st.integers(min_value=1, max_value=12))
+    lanes = draw(st.integers(min_value=1, max_value=3))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=3 * n)) if u != v]
+    indptr, src = ExplicitTopology(n, edges).csr()
+    values = np.array(
+        draw(st.lists(st.integers(-50, 50), min_size=lanes * n, max_size=lanes * n)),
+        dtype=np.int64,
+    ).reshape(lanes, n)
+    complete = draw(st.booleans())
+    masked = draw(st.booleans())
+    width = n if complete else int(indptr[-1])
+    mask = None
+    if masked:
+        cells = draw(
+            st.lists(st.booleans(), min_size=lanes * width, max_size=lanes * width)
+        )
+        mask = np.array(cells, dtype=bool).reshape(lanes, width)
+    return n, lanes, indptr, src, values, complete, mask
+
+
+def _wire(n, lanes, indptr, src, complete, mask, chunk):
+    wire = RoundWire(lanes, n, chunk)
+    if complete:
+        wire.complete_fast = True
+        wire.send_ok = mask
+    else:
+        wire.src, wire.indptr, wire.keep = src, indptr, mask
+    return wire
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=wires(),
+    lowest=st.booleans(),
+    chunk=st.integers(min_value=1, max_value=40),
+)
+def test_wire_reduce_chunked_equals_unchunked_equals_loop(drawn, lowest, chunk):
+    import numpy as np
+
+    n, lanes, indptr, src, values, complete, mask = drawn
+    op, identity, best = (
+        (np.minimum, BIG, min) if lowest else (np.maximum, SMALL, max)
+    )
+    expected = []
+    for lane in range(lanes):
+        row = []
+        for p in range(n):
+            if complete:
+                senders = [(q, q) for q in range(n)]  # (sender, mask column)
+            else:
+                senders = [(int(src[e]), e) for e in range(indptr[p], indptr[p + 1])]
+            acc = identity
+            for q, column in senders:
+                if mask is None or mask[lane, column]:
+                    acc = best(acc, int(values[lane, q]))
+            row.append(acc)
+        expected.append(row)
+
+    plain = _wire(n, lanes, indptr, src, complete, mask, None)
+    chunked = _wire(n, lanes, indptr, src, complete, mask, chunk)
+    unchunked_out = plain.reduce(values, op, identity)
+    chunked_out = chunked.reduce(values, op, identity)
+    assert unchunked_out.shape == chunked_out.shape == (lanes, n)
+    assert unchunked_out.tolist() == expected
+    assert chunked_out.tolist() == expected

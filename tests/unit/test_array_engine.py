@@ -4,9 +4,8 @@ Every scenario here runs through :func:`repro.array.conformance
 .check_conformance`, which reconstructs a value-identical
 ``ExecutionHistory`` per lane from the array columns and compares
 canonical digests against ``run_sync`` on the same (protocol, plan,
-topology) — on *both* data planes (NumPy when installed, and the
-pure-Python fallback always).  Eligibility failures must be loud
-``ArrayEligibilityError``s, never silent wrong answers.
+topology).  Eligibility failures must be loud ``ArrayEligibilityError``s,
+never silent wrong answers.
 """
 
 import pytest
@@ -16,10 +15,8 @@ from repro.array import (
     as_array_protocol,
     assert_conformance,
     has_numpy,
-    pick_backend,
     run_array,
 )
-from repro.array.backend import ENV_BACKEND
 from repro.core.canonical import CanonicalRunner
 from repro.core.compiler import compile_protocol
 from repro.core.rounds import RoundAgreementProtocol
@@ -49,18 +46,14 @@ from repro.sync.corruption import (
     RandomCorruption,
 )
 
-BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
-
-backends = pytest.mark.parametrize("backend", BACKENDS)
+pytestmark = pytest.mark.skipif(not has_numpy(), reason="the array engine needs numpy")
 
 
-@backends
-def test_fault_free_complete_graph(backend):
-    assert_conformance(MinUnison(), n=6, rounds=8, backend=backend)
+def test_fault_free_complete_graph():
+    assert_conformance(MinUnison(), n=6, rounds=8)
 
 
-@backends
-def test_ring_with_crashes_multi_lane(backend):
+def test_ring_with_crashes_multi_lane():
     def crashy(seed):
         return lambda: FaultPlan(
             crashes={seed % 5: 2.0, (seed + 2) % 5: 4.0},
@@ -73,12 +66,10 @@ def test_ring_with_crashes_multi_lane(backend):
         rounds=10,
         plan_factories=[crashy(0), crashy(1), None],
         topology=RingTopology(5),
-        backend=backend,
     )
 
 
-@backends
-def test_grid_omissions_and_mid_run_corruption(backend):
+def test_grid_omissions_and_mid_run_corruption():
     def plan():
         script = {
             2: RoundFaultPlan(send_omissions={1: frozenset({2, 5})}),
@@ -97,13 +88,11 @@ def test_grid_omissions_and_mid_run_corruption(backend):
         rounds=12,
         plan_factories=[plan, plan],
         topology=GridTopology(3, 3),
-        backend=backend,
     )
 
 
-@backends
 @pytest.mark.parametrize("mode", [FaultMode.CRASH, FaultMode.GENERAL_OMISSION])
-def test_floodmin_compiled_random_adversary(backend, mode):
+def test_floodmin_compiled_random_adversary(mode):
     protocol = compile_protocol(FloodMinConsensus(f=2, proposals=[4, 1, 3, 2, 5, 0]))
 
     def plan():
@@ -113,32 +102,29 @@ def test_floodmin_compiled_random_adversary(backend, mode):
         )
 
     assert_conformance(
-        protocol, n=6, rounds=8, plan_factories=[plan, plan], backend=backend
+        protocol, n=6, rounds=8, plan_factories=[plan, plan]
     )
 
 
-@backends
-def test_ft_floodmin_crashes(backend):
+def test_ft_floodmin_crashes():
     protocol = CanonicalRunner(FloodMinConsensus(f=2, proposals=[4, 1, 3, 2, 5]))
 
     def plan():
         return FaultPlan(crashes={0: 1.0, 4: 2.0})
 
-    assert_conformance(protocol, n=5, rounds=4, plan_factories=[plan], backend=backend)
+    assert_conformance(protocol, n=5, rounds=4, plan_factories=[plan])
 
 
-@backends
-def test_bounded_unison_conformance(backend):
+def test_bounded_unison_conformance():
     def plan():
         return FaultPlan(initial_corruption=RandomCorruption(seed=2))
 
     assert_conformance(
-        BoundedUnison(n=6), n=6, rounds=9, plan_factories=[plan], backend=backend
+        BoundedUnison(n=6), n=6, rounds=9, plan_factories=[plan]
     )
 
 
-@backends
-def test_churn_gauntlet_on_ring(backend):
+def test_churn_gauntlet_on_ring():
     churn = ChurnSchedule(
         (
             ChurnEvent(2, "leave", pids=(1,)),
@@ -161,12 +147,10 @@ def test_churn_gauntlet_on_ring(backend):
         rounds=10,
         plan_factories=[plan, plan],
         topology=RingTopology(6),
-        backend=backend,
     )
 
 
-@backends
-def test_round_agreement_fig1(backend):
+def test_round_agreement_fig1():
     def plan():
         return FaultPlan(
             omissions=RandomAdversary(
@@ -176,15 +160,14 @@ def test_round_agreement_fig1(backend):
         )
 
     assert_conformance(
-        RoundAgreementProtocol(), n=5, rounds=8, plan_factories=[plan], backend=backend
+        RoundAgreementProtocol(), n=5, rounds=8, plan_factories=[plan]
     )
 
 
 # -- batched twins for PhaseQueen consensus and the detector stack -----------
 
 
-@backends
-def test_phase_queen_twin_conformance(backend):
+def test_phase_queen_twin_conformance():
     def protocol():
         return CanonicalRunner(PhaseQueenConsensus(f=1, n=5, proposals=[1, 0, 1, 0, 1]))
 
@@ -199,13 +182,11 @@ def test_phase_queen_twin_conformance(backend):
         n=5,
         rounds=6,
         plan_factories=[plan(0), plan(3), None],
-        backend=backend,
         protocol_factory=protocol,
     )
 
 
-@backends
-def test_detector_stack_twin_conformance(backend):
+def test_detector_stack_twin_conformance():
     def plan():
         return FaultPlan(
             crashes={1: 3.0},
@@ -220,15 +201,13 @@ def test_detector_stack_twin_conformance(backend):
         n=6,
         rounds=12,
         plan_factories=[plan, plan],
-        backend=backend,
     )
 
 
 # -- the dense forgery path: Byzantine plans stay on the array engine --------
 
 
-@backends
-def test_scripted_forgeries_conform(backend):
+def test_scripted_forgeries_conform():
     def plan():
         return FaultPlan(
             omissions=ScriptedAdversary(
@@ -244,12 +223,11 @@ def test_scripted_forgeries_conform(backend):
         )
 
     assert_conformance(
-        MinUnison(), n=4, rounds=7, plan_factories=[plan, plan], backend=backend
+        MinUnison(), n=4, rounds=7, plan_factories=[plan, plan]
     )
 
 
-@backends
-def test_byzantine_adversary_conforms(backend):
+def test_byzantine_adversary_conforms():
     def mutator(rng, payload):
         return (payload or 0) + rng.randrange(-3, 4)
 
@@ -265,12 +243,10 @@ def test_byzantine_adversary_conforms(backend):
         rounds=9,
         plan_factories=[plan(1), plan(8)],
         topology=RingTopology(5),
-        backend=backend,
     )
 
 
-@backends
-def test_forged_detector_vectors_conform(backend):
+def test_forged_detector_vectors_conform():
     def scramble(rng, payload):
         nums, statuses = payload
         forged = list(nums)
@@ -285,16 +261,14 @@ def test_forged_detector_vectors_conform(backend):
         n=5,
         rounds=10,
         plan_factories=[plan],
-        backend=backend,
     )
 
 
 # -- chunked execution: bounded-memory temporaries, identical digests --------
 
 
-@backends
 @pytest.mark.parametrize("chunk", [2, 5])
-def test_chunked_conformance_on_ring(backend, chunk):
+def test_chunked_conformance_on_ring(chunk):
     def plan(seed):
         return lambda: FaultPlan(
             crashes={seed % 6: 3.0},
@@ -307,29 +281,7 @@ def test_chunked_conformance_on_ring(backend, chunk):
         rounds=9,
         plan_factories=[plan(0), plan(4)],
         topology=RingTopology(6),
-        backend=backend,
         chunk=chunk,
-    )
-
-
-@backends
-def test_max_bytes_chunking_conformance(backend):
-    def plan():
-        return FaultPlan(
-            omissions=RandomAdversary(
-                9, 2, mode=FaultMode.SEND_OMISSION, rate=0.3, seed=17
-            ),
-            initial_corruption=RandomCorruption(seed=9),
-        )
-
-    assert_conformance(
-        MinUnison(),
-        n=9,
-        rounds=8,
-        plan_factories=[plan, plan],
-        topology=GridTopology(3, 3),
-        backend=backend,
-        max_bytes=1 << 12,
     )
 
 
@@ -346,14 +298,14 @@ def test_unencodable_forged_patch_is_rejected():
         )
 
     with pytest.raises(ArrayEligibilityError):
-        run_array(MinUnison(), 4, 5, fault_plans=[plan()], backend="python")
+        run_array(MinUnison(), 4, 5, fault_plans=[plan()])
 
 
 def test_shared_adversary_object_across_lanes_is_rejected():
     adversary = RandomAdversary(4, 1, mode=FaultMode.CRASH, seed=0)
     plans = [FaultPlan(omissions=adversary), FaultPlan(omissions=adversary)]
     with pytest.raises(ArrayEligibilityError):
-        run_array(MinUnison(), 4, 5, fault_plans=plans, backend="python")
+        run_array(MinUnison(), 4, 5, fault_plans=plans)
 
 
 def test_lanes_with_different_churn_are_rejected():
@@ -365,7 +317,6 @@ def test_lanes_with_different_churn_are_rejected():
             5,
             fault_plans=[churned, None],
             topology=RingTopology(4),
-            backend="python",
         )
 
 
@@ -375,18 +326,7 @@ def test_protocol_without_batched_twin_is_rejected():
 
     assert as_array_protocol(Custom()) is None
     with pytest.raises(ArrayEligibilityError):
-        run_array(Custom(), 4, 5, backend="python")
-
-
-def test_backend_env_and_explicit_selection(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "python")
-    assert pick_backend(None) == "python"
-    result = run_array(MinUnison(), 4, 3)
-    assert result.backend == "python"
-    monkeypatch.delenv(ENV_BACKEND)
-    assert pick_backend("python") == "python"
-    with pytest.raises(ValueError):
-        pick_backend("fortran")
+        run_array(Custom(), 4, 5)
 
 
 def test_measure_disagreement_matches_history_scan():
@@ -400,7 +340,6 @@ def test_measure_disagreement_matches_history_scan():
         fault_plans=plans,
         topology=RingTopology(8),
         measure_disagreement=True,
-        backend="python",
     )
     recorded = run_array(
         MinUnison(),
@@ -412,7 +351,6 @@ def test_measure_disagreement_matches_history_scan():
         ],
         topology=RingTopology(8),
         record_history=True,
-        backend="python",
     )
     for lane in range(3):
         last = 0
@@ -459,10 +397,9 @@ def _outcome(call):
     return None
 
 
-@backends
 @pytest.mark.parametrize("sync", CLOCK_TWINS, ids=lambda p: type(p).__name__)
 @pytest.mark.parametrize("bad", sorted(BAD_CELLS))
-def test_load_lane_fails_exactly_like_load_state(backend, sync, bad):
+def test_load_lane_fails_exactly_like_load_state(sync, bad):
     twin = as_array_protocol(sync)
     n = 5
     cells = {pid: {CLOCK_KEY: pid} for pid in range(n)}
@@ -470,45 +407,42 @@ def test_load_lane_fails_exactly_like_load_state(backend, sync, bad):
     cells[4] = {CLOCK_KEY: False}  # a later offender must not be the one named
 
     def per_pid():
-        state = twin.initial_states(n, 1, backend)
+        state = twin.initial_states(n, 1)
         for pid in range(n):
             twin.load_state(state, 0, pid, cells[pid])
 
     def bulk():
-        twin.load_lane(twin.initial_states(n, 1, backend), 0, n, cells)
+        twin.load_lane(twin.initial_states(n, 1), 0, n, cells)
 
     expected = _outcome(per_pid)
     assert expected is not None
     assert _outcome(bulk) == expected
-    if bad == "beyond-int64" and backend == "numpy":
+    if bad == "beyond-int64":
         assert expected[0] is OverflowError
-    elif bad != "beyond-int64":
+    else:
         assert expected[0] is ArrayEligibilityError
 
 
-@backends
 @pytest.mark.parametrize("bad", ["bool-clock", "extra-field"])
-def test_unencodable_corruption_is_refused_through_the_bulk_path(backend, bad):
+def test_unencodable_corruption_is_refused_through_the_bulk_path(bad):
     plan = FaultPlan(initial_corruption=ExplicitCorruption({3: BAD_CELLS[bad]}))
     with pytest.raises(ArrayEligibilityError):
         run_array(
-            MinUnison(), 6, 3, fault_plans=[plan], topology=RingTopology(6), backend=backend
+            MinUnison(), 6, 3, fault_plans=[plan], topology=RingTopology(6)
         )
 
 
-@pytest.mark.skipif(not has_numpy(), reason="int64 columns need numpy")
 def test_out_of_int64_corruption_overflows_on_the_numpy_plane():
     plan = FaultPlan(initial_corruption=ExplicitCorruption({1: {CLOCK_KEY: -(1 << 70)}}))
     with pytest.raises(OverflowError):
-        run_array(MinUnison(), 4, 2, fault_plans=[plan], backend="numpy")
+        run_array(MinUnison(), 4, 2, fault_plans=[plan])
 
 
-@backends
 @pytest.mark.parametrize("sync", CLOCK_TWINS, ids=lambda p: type(p).__name__)
-def test_load_lane_never_revives_crashed_cells(backend, sync):
+def test_load_lane_never_revives_crashed_cells(sync):
     twin = as_array_protocol(sync)
     n = 5
-    state = twin.initial_states(n, 2, backend)
+    state = twin.initial_states(n, 2)
     for pid in range(n):
         twin.load_state(state, 1, pid, {CLOCK_KEY: 1})
     twin.load_lane(
@@ -518,7 +452,7 @@ def test_load_lane_never_revives_crashed_cells(backend, sync):
         1, 3, 3, 1, 3
     ]
     assert twin.read_state(state, 0, 2) == twin.read_state(
-        twin.initial_states(n, 1, backend), 0, 2
+        twin.initial_states(n, 1), 0, 2
     )
 
 
@@ -530,18 +464,16 @@ class _Reviver(CorruptionPlan):
         return {pid: {CLOCK_KEY: 40 + pid} for pid in range(n)}
 
 
-@backends
-def test_mid_run_corruption_cannot_revive_a_crashed_process(backend):
+def test_mid_run_corruption_cannot_revive_a_crashed_process():
     plan = FaultPlan(crashes={1: 1.0}, mid_corruptions={3.0: _Reviver()})
     result = run_array(
-        MinUnison(), 5, 4, fault_plans=[plan], topology=RingTopology(5), backend=backend
+        MinUnison(), 5, 4, fault_plans=[plan], topology=RingTopology(5)
     )
     assert result.crashed[0] == frozenset({1})
     assert result.final_state(0, 1) is None
     assert result.final_state(0, 3) == {CLOCK_KEY: 42}  # min over {2, 3, 4} + 2
 
 
-@backends
 @pytest.mark.parametrize(
     "protocol",
     [
@@ -551,7 +483,7 @@ def test_mid_run_corruption_cannot_revive_a_crashed_process(backend):
     ],
     ids=["min-unison", "bounded-unison", "compiled-floodmin"],
 )
-def test_mid_run_corruption_after_crashes_conforms(backend, protocol):
+def test_mid_run_corruption_after_crashes_conforms(protocol):
     def plan():
         return FaultPlan(
             crashes={2: 2.0, 5: 3.0},
@@ -565,5 +497,4 @@ def test_mid_run_corruption_after_crashes_conforms(backend, protocol):
         rounds=8,
         plan_factories=[plan, plan],
         topology=RingTopology(6),
-        backend=backend,
     )

@@ -7,11 +7,22 @@ serializing them behind cheap neighbors (the old fixed-size chunking
 regression).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
+
 import pytest
 
+import repro
+import repro.array.backend
 import repro.cache
-from repro.array.protocols import ArrayEligibilityError
+from repro.array import ArrayEligibilityError, run_array
+from repro.experiments import array_scale
 from repro.experiments.base import _work_chunks, run_sweep, shutdown_pool
+from repro.protocols.unison import MinUnison
+from repro.serve.fleet import execute_tasks
 
 CALLS = {"batch": 0, "single": 0}
 
@@ -214,3 +225,38 @@ def test_array_cache_namespace_and_backend_counters(tmp_path):
     assert reference == EXPECTED
     assert CALLS["single"] == len(POINTS)
     assert store.stats.executed_sync == len(POINTS)
+
+
+# -- no NumPy: a loud fallback to run_sync, never an ImportError --------------
+
+
+def test_without_numpy_array_sweeps_fall_back_to_run_sync(monkeypatch):
+    tasks = [("ring", 16, seed) for seed in range(2)]
+    reference = run_sweep(array_scale._measure, tasks, jobs=1)
+    monkeypatch.setattr(repro.array.backend, "_load_numpy", lambda: None)
+
+    with pytest.raises(ArrayEligibilityError, match="numpy"):
+        run_array(MinUnison(), 4, 2)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcomes = run_sweep(array_scale._measure, tasks, jobs=1, backend="array")
+    assert outcomes == reference
+    assert [type(w.message) for w in caught] == [RuntimeWarning]
+    assert "numpy" in str(caught[0].message)
+
+    with pytest.warns(RuntimeWarning, match="numpy"):
+        served, used = execute_tasks(array_scale._measure, tasks, "array")
+    assert (served, used) == (reference, "sync")
+
+
+def test_array_package_imports_without_numpy():
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import repro, repro.kernel, repro.array\n"
+        "sys.exit(repro.array.has_numpy())"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0, "repro.array failed to import without numpy"

@@ -228,7 +228,7 @@ def test_fault_free_csr_run_never_builds_the_receivers_table(
         for seed in (1, 2)
     ]
     result = run_array(
-        MinUnison(), topology.n, 8, fault_plans=plans, topology=topology, backend="numpy"
+        MinUnison(), topology.n, 8, fault_plans=plans, topology=topology
     )
     assert result.clock_spread(0) is not None
 
